@@ -6,6 +6,13 @@ this implementation (v1.0.0) and cross-checked against the paper's figure
 geometry (see EXPERIMENTS.md); tolerances are tight (1e-9 relative) since
 the model is deterministic.
 
+The analytical engine is locked bit-exactly by the engine digest corpus
+(``tests/goldens/engine.json``, also maintained by
+``tools/regen_goldens.py``): one sha256 per registry scenario over the
+``float.hex``-canonical saturation map, binding resource, zero-load
+latency, load grid and curve, resource utilisations and budget capacity,
+replayed through the ``BatchedModel`` facade.
+
 The simulator side is locked by the golden-trajectory digest corpus
 (``tests/goldens/trajectories.json``, maintained by
 ``tools/regen_goldens.py``): every entry's sha256-of-canonical-trajectory
@@ -25,7 +32,15 @@ from repro.core import AnalyticalModel, MessageSpec, ModelOptions, paper_system_
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # `tools` is importable from the repo root only
 
-from tools.regen_goldens import GOLDENS_PATH, GOLDENS_SCHEMA, golden_digest  # noqa: E402
+from tools.regen_goldens import (  # noqa: E402
+    ENGINE_GOLDENS_PATH,
+    ENGINE_GOLDENS_SCHEMA,
+    GOLDENS_PATH,
+    GOLDENS_SCHEMA,
+    engine_digest,
+    engine_outputs,
+    golden_digest,
+)
 
 GOLDENS = [
     # (system, M, d_m, lambda_g, expected mean latency)
@@ -128,6 +143,49 @@ class TestGoldenTrajectoryCorpus:
             f"change is intentional, bump TRAJECTORY_VERSION and regenerate "
             f"via the protocol in tools/regen_goldens.py."
         )
+
+
+def _engine_corpus() -> dict:
+    return json.loads(ENGINE_GOLDENS_PATH.read_text(encoding="utf-8"))
+
+
+def _engine_drift(scenario: str, path: str) -> str:
+    version = _engine_corpus()["engine_version"]
+    return (
+        f"engine golden drift: scenario {scenario!r} through the {path} no longer "
+        f"matches the digest pinned under ENGINE_VERSION={version!r}.  If the "
+        f"change is intentional, bump ENGINE_VERSION and regenerate via the "
+        f"protocol in tools/regen_goldens.py."
+    )
+
+
+class TestEngineGoldenCorpus:
+    """Replay the pinned engine outputs bit-exactly; failures name the scenario."""
+
+    def test_corpus_schema_version_and_coverage(self):
+        from repro.core.batch import ENGINE_VERSION
+        from repro.scenarios.registry import iter_scenarios
+
+        corpus = _engine_corpus()
+        assert corpus["schema"] == ENGINE_GOLDENS_SCHEMA
+        assert corpus["engine_version"] == ENGINE_VERSION, (
+            f"engine corpus was pinned under ENGINE_VERSION="
+            f"{corpus['engine_version']!r} but the code declares "
+            f"{ENGINE_VERSION!r}; follow the regen protocol in tools/regen_goldens.py"
+        )
+        assert [e["scenario"] for e in corpus["entries"]] == [n for n, _ in iter_scenarios()]
+
+    @pytest.mark.parametrize(
+        "entry", _engine_corpus()["entries"], ids=lambda e: e["scenario"]
+    )
+    def test_facade_replay(self, entry):
+        from repro.core.batch import BatchedModel
+        from repro.scenarios import get_scenario
+
+        spec = get_scenario(entry["scenario"])
+        engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
+        digest = engine_digest(engine_outputs(spec, engine))
+        assert digest == entry["digest"], _engine_drift(entry["scenario"], "BatchedModel facade")
 
 
 class TestOptionIndependence:
