@@ -6,10 +6,10 @@ module generalises that study to arbitrary scaling factors and any of the
 three network roles, using the analytical model (as the paper does —
 "The results of analysis ... are depicted in Fig. 7").
 
-Each system variant is evaluated through the batched engine
-(:mod:`repro.core.batch`): one precompute per variant, one vectorised pass
-over the shared load grid, and closed-form saturation loads — the study
-no longer pays a bisection search per curve.
+Each system variant is evaluated through the vectorised engine
+(:class:`repro.core.batch.BatchedModel`, a one-cell stack): one packing per
+variant, one vectorised pass over the shared load grid, and closed-form
+saturation loads — the study never pays a bisection search per curve.
 
 Curve labels embed the system *name* alongside its node count: two
 distinct systems can easily share a total node count (e.g. a base system

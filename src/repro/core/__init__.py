@@ -4,7 +4,7 @@ Everything a model user needs is re-exported here; see
 :class:`repro.core.model.AnalyticalModel` for the entry point.
 """
 
-from repro.core.batch import BatchedModel, ResourceRates
+from repro.core.batch import BatchedModel
 from repro.core.concentrator import ConcentratorWait, concentrator_pair_wait
 from repro.core.inter import InterPairLatency, inter_pair_latency, pair_rates
 from repro.core.intra import IntraClusterLatency, intra_cluster_latency
@@ -24,6 +24,7 @@ from repro.core.parameters import (
 )
 from repro.core.queueing import MG1Result, mg1_wait
 from repro.core.service_times import ServiceTimes, node_channel_time, switch_channel_time
+from repro.core.stacked import ResourceRates
 from repro.core.stages import PipelineSolution, StagePipeline, solve_pipeline
 from repro.core.sweep import LoadSweep, auto_load_grid, find_saturation_load, sweep_load
 from repro.core.topology_math import (

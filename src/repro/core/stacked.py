@@ -1,37 +1,32 @@
-"""Cross-cell stacked evaluation: the closed forms over (cells × loads).
+"""The production analytical engine: the closed forms over (cells × loads).
 
-:class:`~repro.core.batch.BatchedModel` vectorises the model across *loads*
-but still prices one design cell at a time; a design-space sweep therefore
-pays the Python/NumPy call overhead of the saturation inversion, the knee
-search and the journey recursion once **per cell**.  This module adds the
-missing axis: a :class:`ParameterPlan` packs a list of model configurations
-into stacked parameter arrays with a leading *cells* axis, and
-:class:`StackedModel` evaluates the whole set with the same ndarray
-operations the batched engine runs per cell — every intermediate array is
+The scalar :class:`~repro.core.model.AnalyticalModel` is the reference
+oracle: one :meth:`~repro.core.model.AnalyticalModel.evaluate` call walks
+every cluster class, destination pair and journey length at one load.
+This module is the one vectorised implementation of the same closed forms
+(Eqs. 1–39).  A :class:`ParameterPlan` packs a list of model
+configurations into stacked parameter arrays with a leading *cells* axis,
+and :class:`StackedModel` evaluates the whole set with ndarray operations
 shaped ``(cells, …)`` or ``(cells, loads)``, so the per-call overhead is
-amortised across the entire cell set.
+amortised across the entire cell set.  A single configuration is simply a
+one-cell stack: :class:`~repro.core.batch.BatchedModel` is that view.
 
-Bit-identity contract
----------------------
-Every number a :class:`StackedModel` produces is **bit-identical** to the
-per-cell :class:`~repro.core.batch.BatchedModel` result (not merely close):
-the stacked code mirrors the batched code expression-for-expression, and
-all float operations are elementwise, so each cell's lane computes the
-exact scalar sequence.  The mechanisms:
+Lane contract
+-------------
+Every float operation is elementwise along the cells axis, so a cell's
+numbers do not depend on which other cells share its stack: an N-cell
+stack and N one-cell stacks agree **bit for bit**.  The mechanisms:
 
 * **grouping** — cells are partitioned by structure signature (switch
   arity, class decomposition, ICN2 depth), so within a group every journey
   set has identical layout and the group-constant structure (journey
   dimensions, pmf weights) is built once;
-* **shared suffix chains** — the batched engine right-pads journeys into
-  ``(journeys × max-stages)`` planes, but right-aligned journeys *share*
-  their trailing stages, so the backward Eq. 13/14 recursion collapses to
-  suffix chains (destination → ICN2 → source segments) touching each
-  distinct column state once: pure common-subexpression elimination of
-  bit-identical elementwise chains, with temporaries shaped ``(cells,
-  loads)`` instead of ``(cells, journeys, loads)`` (the padding columns'
-  ``+0.0`` contributions and the ``eta·1.0`` select factors drop out as
-  exact identities);
+* **shared suffix chains** — right-aligned journeys share their trailing
+  stages, so the backward Eq. 13/14 recursion collapses to suffix chains
+  (destination → ICN2 → source segments) touching each distinct column
+  state once, with temporaries shaped ``(cells, loads)`` instead of
+  ``(cells, journeys, loads)``; per journey the float sequence is the
+  scalar :func:`repro.core.stages.solve_pipeline`'s;
 * **masks** — per-cell *control flow* of the scalar code (option
   branches, ``U_i == 0`` and zero-weight skips) becomes ``np.where``
   masks selecting between fully-evaluated branches;
@@ -46,9 +41,21 @@ exact scalar sequence.  The mechanisms:
   Eq. 3 class combination) stays an explicit fold over the same index
   order, never an ``np.sum`` reduction with a different association.
 
-``tests/test_stacked.py`` locks the equivalence (``==``, not ``allclose``)
-over the scenario registry, heterogeneity ladders, ragged mixed-topology
-cell sets and degraded performability configurations.
+Closed-form saturation
+----------------------
+Saturation is the model's only divergence mechanism (an M/G/1 queue
+reaching ``ρ >= 1``), and each queue's utilisation is monotone in
+``λ_g``.  Concentrator/dispatcher queues have a constant service time
+``M t_cs^{I2}`` (Eq. 36), so their ``λ* = 1 / (slope · M t_cs^{I2})`` is
+exact.  Source queues serve the load-dependent pipeline latency
+``T(λ_g)`` (Eqs. 18/31); their ``λ* = ρ⁻¹(1)`` inverts that single
+resource's utilisation by vectorised bracket refinement, bounded above by
+the linearised ``1 / (rate_slope · T(0))``.
+
+``tests/goldens/engine.json`` pins every output bit-exactly per registry
+scenario; ``tests/test_stacked.py`` checks N-cell stacks against one-cell
+lanes, and ``tests/test_batch.py`` checks the engine against the scalar
+oracle to float64 round-off.
 """
 
 from __future__ import annotations
@@ -59,14 +66,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require
-from repro.core.batch import _mg1_wait_batched
 from repro.core.model import AnalyticalModel, TrafficPatternLike
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.core.service_times import ServiceTimes
+from repro.core.service_times import ServiceTimes, switch_channel_time
 from repro.core.stages import _LATENCY_CAP
 from repro.core.topology_math import journey_length_pmf, mean_journey_links
 
-__all__ = ["ParameterPlan", "StackedModel"]
+__all__ = ["ParameterPlan", "ResourceRates", "StackedModel"]
+
+
+@dataclass(frozen=True)
+class ResourceRates:
+    """Utilisation of one modelled resource across a load grid."""
+
+    resource: str
+    kind: str  # "source-queue" | "concentrator" | "channel"
+    utilization: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +89,40 @@ __all__ = ["ParameterPlan", "StackedModel"]
 # ---------------------------------------------------------------------------
 
 
+def _mg1_wait_batched(
+    rate: np.ndarray, mean_service: np.ndarray, variance: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised :func:`repro.core.queueing.mg1_wait` (Eq. 15).
+
+    Returns ``(wait, utilization, saturated)`` arrays with the scalar
+    function's exact semantics: an infinite service time (blown-up upstream
+    pipeline) counts as saturation whenever any traffic arrives, and a
+    zero-rate queue never waits regardless of its service time.
+    """
+    finite = np.isfinite(mean_service) & np.isfinite(variance)
+    service = np.where(finite, mean_service, 0.0)
+    var = np.where(finite, variance, 0.0)
+    rho = rate * service
+    infinite_service = ~finite & (rate > 0.0)
+    saturated = infinite_service | (rho >= 1.0)
+    second_moment = service * service + var
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wait = rate * second_moment / (2.0 * (1.0 - rho))
+    wait = np.where(saturated, np.inf, wait)
+    wait = np.where(rate == 0.0, 0.0, wait)
+    utilization = np.where(infinite_service, np.inf, rho)
+    return wait, utilization, saturated
+
+
 def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     """Row-wise ``np.linspace(start[r], stop[r], num)`` — bit-identical.
 
     ``np.linspace`` with *array* endpoints would take its internal
     ``step == 0`` branch (denormal handling, numpy gh-5437) for **all**
-    rows whenever any one row's step is zero, diverging from the scalar
-    calls the per-cell engine makes.  This helper computes both variants
-    and selects per row, so each row reproduces its own scalar branch.
+    rows whenever any one row's step is zero, so a row's grid would depend
+    on its neighbours in the stack.  This helper computes both variants
+    and selects per row, so each row reproduces its own scalar
+    ``np.linspace`` call.
     """
     div = num - 1
     base = np.arange(0, num, dtype=np.float64)
@@ -153,11 +194,11 @@ def _chain_step(
     *suffix*), ``suffix`` the ``Σ_{s>k} W_s`` accumulated so far and
     ``half_eta`` the column's pre-halved channel rate ``0.5 η``; returns
     ``(T_k, T_k > cap, suffix + W_k)``.  The float sequence per element is
-    exactly ``_solve_journeys_batched``'s column body — hoisting ``0.5 η``
-    reassociates nothing (it is the scalar's own leftmost product), the
-    in-place ``inf`` clamp writes the same values the two ``np.where``
-    selections produce, and the flipped operand orders (``m + s``,
-    ``w += s``) are bitwise commutative.
+    exactly one stage of :func:`repro.core.stages.solve_pipeline` —
+    hoisting ``0.5 η`` reassociates nothing (it is the scalar's own
+    leftmost product), the in-place ``inf`` clamp writes the scalar's
+    :data:`_LATENCY_CAP` overflow values, and the flipped operand orders
+    (``m + s``, ``w += s``) are bitwise commutative.
     """
     t_col = m_col + suffix
     over = t_col > _LATENCY_CAP
@@ -184,12 +225,11 @@ def _solve_intra_stacked(
     """Stacked Eq. 5 average via one shared suffix chain.
 
     Right-aligned intra journeys all share their trailing columns (one
-    ``t_cn`` stage then ``t_cs`` stages), so the ``(journeys × stages)``
-    plane recursion of the batched engine degenerates to a single
-    backward chain: journey *h*'s ``T_0`` is the chain's ``T`` at depth
-    ``2h − 1``.  Per journey the float sequence is identical to
-    ``_solve_journeys_batched`` — the collapse is common-subexpression
-    elimination, not a reformulation — so results stay bit-identical.
+    ``t_cn`` stage then ``t_cs`` stages), so the per-journey recursions
+    collapse to a single backward chain: journey *h*'s ``T_0`` is the
+    chain's ``T`` at depth ``2h − 1``.  Per journey the float sequence is
+    the scalar stage recursion's — the collapse is common-subexpression
+    elimination, not a reformulation.
     """
     m_cn = (m_flits * t_cn)[:, None]
     m_cs = (m_flits * t_cs)[:, None]
@@ -503,13 +543,12 @@ def _group_signature(model: AnalyticalModel) -> tuple:
 class ParameterPlan:
     """Packed parameters of a cell list, grouped by structure signature.
 
-    Packing builds one scalar :class:`AnalyticalModel` per cell (the
-    cheap class decomposition and destination weighting — *not* the
-    per-cell journey planning the batched engine performs), derives each
-    group's journey structure once, and fills the per-cell parameter
-    planes.  Heterogeneous cluster counts are handled by the grouping
-    (cells whose class decompositions differ land in different groups)
-    plus the right-aligned journey padding within each group.
+    Packing reads each cell's scalar :class:`AnalyticalModel` (its class
+    decomposition and destination weighting), derives each group's
+    journey structure once, and fills the per-cell parameter planes.
+    Heterogeneous cluster counts are handled by the grouping (cells whose
+    class decompositions differ land in different groups) plus the
+    right-aligned journey padding within each group.
     """
 
     def __init__(self, models: Sequence[AnalyticalModel]) -> None:
@@ -695,10 +734,10 @@ class StackedModel:
 
     Construction packs the cells (see :class:`ParameterPlan`); every
     method then returns per-cell results in the original cell order,
-    bit-identical to running one :class:`~repro.core.batch.BatchedModel`
-    per cell.  The API mirrors what the design-space consumers need:
-    latency curves over per-cell load grids, the per-resource saturation
-    inversion, the knee search and the latency-budget capacity search.
+    bit-identical to a one-cell stack of each cell.  The API covers what
+    the consumers need: latency curves over per-cell load grids, resource
+    utilisations, the per-resource saturation inversion, the knee search
+    and the latency-budget capacity search.
     """
 
     def __init__(
@@ -724,7 +763,7 @@ class StackedModel:
     def cells(self) -> int:
         return self.plan.cells
 
-    # -- rates (mirroring BatchedModel's single-source rate helpers) -----------
+    # -- rates (single source for evaluation AND inversion) ----------------------
 
     def _intra_rates(
         self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
@@ -849,9 +888,9 @@ class StackedModel:
     ) -> np.ndarray:
         """Mean latency over per-cell load rows for one group.
 
-        Mirrors ``BatchedModel.evaluate_many`` statement-for-statement;
-        the per-cell ``U_i == 0`` / zero-weight control-flow skips of the
-        scalar path become post-hoc ``np.where`` selections, so a masked
+        Eqs. 1–3 as ``AnalyticalModel.evaluate`` folds them; the per-cell
+        ``U_i == 0`` / zero-weight control-flow skips of the scalar path
+        become post-hoc ``np.where`` selections, so a masked
         cell's lanes never leak the ``0 · ∞`` artifacts of branches the
         scalar code would not have executed.
         """
@@ -859,18 +898,7 @@ class StackedModel:
         any_saturated = np.zeros(loads.shape, dtype=bool)
         for i in range(len(group.intra)):
             plan = group.intra[i]
-            lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
-            network = self._intra_latency(group, i, rows, eta_i1)
-            source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
-            with np.errstate(invalid="ignore", over="ignore"):
-                variance = np.where(
-                    _take(group.var_paper, rows)[:, None],
-                    (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
-                    network**2,
-                )
-            wait, _, saturated = _mg1_wait_batched(source_rate, network, variance)
-            intra_total = wait + network + _take(plan.tail_time, rows)[:, None]
-
+            intra = self._intra_terms(group, i, rows, loads)
             inter_network = np.zeros_like(loads)
             conc_wait = np.zeros_like(loads)
             pair_saturated = np.zeros(loads.shape, dtype=bool)
@@ -903,10 +931,10 @@ class StackedModel:
             outward = inter_network + conc_wait  # Eq. 39
             with np.errstate(invalid="ignore", over="ignore"):
                 mean = (
-                    _take(plan.intra_fraction, rows)[:, None] * intra_total
+                    _take(plan.intra_fraction, rows)[:, None] * intra["total"]
                     + u[:, None] * outward
                 )  # Eq. 1
-            class_saturated = saturated | pair_saturated
+            class_saturated = intra["saturated"] | pair_saturated
             latency = latency + (
                 mean * _take(plan.nodes, rows)[:, None]
             ) * _take(plan.count, rows)[:, None]
@@ -914,12 +942,34 @@ class StackedModel:
         latency = latency / _take(group.total_nodes, rows)[:, None]  # Eq. 3
         return np.where(any_saturated, np.inf, latency)
 
+    def _intra_terms(
+        self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
+    ) -> dict:
+        """Eqs. 7–10 and 17–19: one class's intra-cluster latency terms."""
+        plan = group.intra[i]
+        lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
+        network = self._intra_latency(group, i, rows, eta_i1)
+        source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            variance = np.where(
+                _take(group.var_paper, rows)[:, None],
+                (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
+                network**2,
+            )
+        wait, utilization, saturated = _mg1_wait_batched(source_rate, network, variance)
+        return {
+            "total": wait + network + _take(plan.tail_time, rows)[:, None],
+            "saturated": saturated,
+            "utilization": utilization,
+            "eta_i1": eta_i1,
+        }
+
     def _pair_terms(
         self, group: _CellGroup, i: int, j: int, rows: "np.ndarray | None", loads: np.ndarray
     ) -> dict:
-        """Stacked ``BatchedModel._pair_terms`` (the fields consumers use)."""
+        """Eqs. 22–38: one ordered class pair's latency and queue terms."""
         plan = group.pairs[i][j]
-        lambda_e1, _, eta_e1, _, eta_i2_eff = self._pair_rates(group, i, j, rows, loads)
+        lambda_e1, _, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(group, i, j, rows, loads)
         network = self._pair_latency(group, i, j, rows, eta_e1, eta_i2_eff)
         source_rate = self._pair_source_rate(group, i, rows, loads, lambda_e1)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -928,11 +978,11 @@ class StackedModel:
                 (network - _take(plan.min_service, rows)[:, None]) ** 2,
                 network**2,
             )
-        wait, _, saturated = _mg1_wait_batched(source_rate, network, variance)
+        wait, utilization, saturated = _mg1_wait_batched(source_rate, network, variance)
         total = wait + network + _take(plan.tail_time, rows)[:, None]
         conc_rate = self._concentrator_rate(group, i, j, rows, loads, lambda_e1)
         ones = np.ones_like(loads)
-        conc_wait, _, conc_saturated = _mg1_wait_batched(
+        conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
             conc_rate,
             ones * _take(plan.conc_service, rows)[:, None],
             ones * _take(plan.conc_variance, rows)[:, None],
@@ -940,8 +990,12 @@ class StackedModel:
         return {
             "total": total,
             "saturated": saturated,
+            "utilization": utilization,
             "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand
             "conc_saturated": conc_saturated,
+            "conc_utilization": conc_utilization,
+            "eta_e1": eta_e1,
+            "eta_i2": eta_i2,
         }
 
     # -- public evaluation ------------------------------------------------------
@@ -962,8 +1016,7 @@ class StackedModel:
         """Mean latency at per-cell load rows — shape ``(cells, loads)``.
 
         *loads* is either one shared grid ``(loads,)`` or per-cell rows
-        ``(cells, loads)``.  Equivalent to calling per-cell
-        ``BatchedModel.evaluate_many(..., with_results=False)``.
+        ``(cells, loads)``.
         """
         loads_arr = self._as_rows(loads)
         out = np.empty_like(loads_arr)
@@ -977,6 +1030,47 @@ class StackedModel:
         """Per-cell latency floor (λ_g → 0), shape ``(cells,)``."""
         return self.evaluate_latencies(np.zeros((self.cells, 1)))[:, 0]
 
+    def resource_utilizations(
+        self, cell: int, loads: "np.ndarray | list[float]"
+    ) -> tuple[ResourceRates, ...]:
+        """Utilisation of every modelled queue *and* channel of one cell.
+
+        *loads* is a shared grid ``(loads,)`` or per-cell rows ``(cells,
+        loads)``; each returned array is shaped ``(loads,)``.  Resources are
+        listed per class — ICN1 source queue and channels, then for every
+        destination class the ECN1 source queue, concentrator, ECN1 and
+        ICN2 channels — under the ``ModelResult.saturated_resources`` names
+        (see :func:`repro.analysis.bottleneck.model_bottlenecks`).
+        """
+        require(0 <= cell < self.cells, f"cell must be in [0, {self.cells}), got {cell}")
+        grid = self._as_rows(loads)[cell : cell + 1]
+        group = next(g for g in self.plan.groups if cell in g.indices)
+        rows = np.flatnonzero(group.indices == cell)
+        model = self.plan.models[cell]
+        m_flits, flit_bytes = model.message.length_flits, model.message.flit_bytes
+        icn2_time = switch_channel_time(model.system.icn2, flit_bytes)
+        entries: list[tuple[str, str, np.ndarray]] = []
+        for i, src in enumerate(model.cluster_classes):
+            intra = self._intra_terms(group, i, rows, grid)
+            icn1_time = switch_channel_time(src.icn1, flit_bytes)
+            entries += [
+                (f"{src.name}:icn1-source-queue", "source-queue", intra["utilization"]),
+                (f"{src.name}:icn1-channels", "channel", intra["eta_i1"] * m_flits * icn1_time),
+            ]
+            if group.single_cluster:
+                continue
+            ecn1_time = switch_channel_time(src.ecn1, flit_bytes)
+            for j, dst in enumerate(model.cluster_classes):
+                pair = self._pair_terms(group, i, j, rows, grid)
+                name = f"{src.name}->{dst.name}"
+                entries += [
+                    (f"{name}:ecn1-source-queue", "source-queue", pair["utilization"]),
+                    (f"{name}:concentrator", "concentrator", pair["conc_utilization"]),
+                    (f"{name}:ecn1-channels", "channel", pair["eta_e1"] * m_flits * ecn1_time),
+                    (f"{name}:icn2-channels", "channel", pair["eta_i2"] * m_flits * icn2_time),
+                ]
+        return tuple(ResourceRates(name, kind, rates[0]) for name, kind, rates in entries)
+
     # -- per-resource saturation (stacked inversion) ----------------------------
 
     def _source_queue_saturation_rows(
@@ -988,9 +1082,9 @@ class StackedModel:
     ) -> np.ndarray:
         """Per-cell λ* of one source queue; excluded cells get ``inf``.
 
-        Mirrors ``BatchedModel._source_queue_saturation``: the linearised
-        upper bound, the ρ ≥ 1 crossing refined per cell down to the same
-        relative tolerance, the same exclusion of zero-rate queues.
+        The linearised upper bound ``1 / (rate'(0) · T(0))``, then the
+        ρ ≥ 1 crossing refined per cell to 1e-13 relative width; zero-rate
+        queues never saturate and are excluded.
         ``rate_of``/``latency_of`` take ``(rows, loads)`` with *rows*
         indexing the group's cells.
         """
@@ -1090,10 +1184,11 @@ class StackedModel:
         return names, np.stack(values, axis=0)
 
     def saturation_loads(self) -> list[dict[str, float]]:
-        """Per-cell ``{resource: λ*}`` maps, as ``BatchedModel.saturation_loads``.
+        """Per-cell ``{resource: λ*}`` maps, keyed like ``ModelResult.saturated_resources``.
 
         Excluded resources (zero-rate queues, zero-weight pairs, ``U_i ==
-        0`` classes) are omitted per cell, mirroring the scalar dicts.
+        0`` classes) are omitted per cell, mirroring the scope of
+        ``AnalyticalModel.evaluate``'s saturation flags.
         """
         if self._saturation is None:
             per_cell: list[dict[str, float]] = [dict() for _ in range(self.cells)]

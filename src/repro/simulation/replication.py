@@ -18,7 +18,6 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from repro._util import require
 from repro.simulation.metrics import MeasurementWindow
@@ -101,6 +100,13 @@ def replicate(
     """
     require(replicas >= 2, "at least two replicas are needed for a CI")
     require(0.0 < confidence < 1.0, "confidence must be in (0, 1)")
+    try:  # the one Student-t quantile below; kept off `import repro`
+        from scipy import stats as _stats
+    except ImportError as exc:
+        raise ImportError(
+            "replicate() needs scipy for its Student-t confidence interval; "
+            "install the 'validation' extra: pip install 'repro-cluster-model[validation]'"
+        ) from exc
     seeds = replica_seeds(base_seed, replicas)
     window = window or MeasurementWindow.scaled_paper(20_000)
     # Cap at the replica count so the recorded jobs reflects the workers

@@ -1,9 +1,12 @@
-"""Batched-engine tests (core.batch): scalar equivalence + closed-form saturation.
+"""Engine tests (core.batch): scalar equivalence + closed-form saturation.
 
 The scalar :class:`AnalyticalModel` is the reference implementation; the
-batched engine must reproduce it to float64 round-off (the ISSUE's 1e-9
-contract) across systems, traffic patterns and option variants, and its
-per-resource saturation rates must agree with the full-model bisection.
+vectorised engine behind :class:`BatchedModel` (a one-cell stack) must
+reproduce its latencies to float64 round-off (1e-9 relative) across
+systems, traffic patterns and option variants, and its per-resource
+saturation rates must agree with the full-model bisection.  Breakdown
+fields are compared too: they come from the oracle itself, so these
+checks pin that ``evaluate_many`` pairs each load with its own result.
 """
 
 import numpy as np

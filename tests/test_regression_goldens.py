@@ -11,7 +11,8 @@ The analytical engine is locked bit-exactly by the engine digest corpus
 ``tools/regen_goldens.py``): one sha256 per registry scenario over the
 ``float.hex``-canonical saturation map, binding resource, zero-load
 latency, load grid and curve, resource utilisations and budget capacity,
-replayed through the ``BatchedModel`` facade.
+replayed through the ``BatchedModel`` facade and through one stack of all
+sixteen scenarios.
 
 The simulator side is locked by the golden-trajectory digest corpus
 (``tests/goldens/trajectories.json``, maintained by
@@ -40,6 +41,7 @@ from tools.regen_goldens import (  # noqa: E402
     engine_digest,
     engine_outputs,
     golden_digest,
+    stacked_engine_outputs,
 )
 
 GOLDENS = [
@@ -186,6 +188,19 @@ class TestEngineGoldenCorpus:
         engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
         digest = engine_digest(engine_outputs(spec, engine))
         assert digest == entry["digest"], _engine_drift(entry["scenario"], "BatchedModel facade")
+
+    def test_stack_replay(self):
+        """All scenarios in ONE stack: each cell's lane must equal its golden."""
+        from repro.scenarios import get_scenario
+
+        entries = _engine_corpus()["entries"]
+        specs = [get_scenario(entry["scenario"]) for entry in entries]
+        drifted = [
+            _engine_drift(entry["scenario"], f"{len(specs)}-cell StackedModel")
+            for entry, outputs in zip(entries, stacked_engine_outputs(specs))
+            if engine_digest(outputs) != entry["digest"]
+        ]
+        assert not drifted, "\n".join(drifted)
 
 
 class TestOptionIndependence:

@@ -1,9 +1,9 @@
 """Tests for the ``tools.reprolint`` invariant linter.
 
 Covers every rule code with good/bad fixture snippets, the
-fingerprint-changed-without-bump path (the acceptance scenario: mutate a
-closed-form expression in ``core/batch.py``, no ``ENGINE_VERSION`` bump,
-gate goes red), baseline suppression, and the CLI's exit-code
+fingerprint-changed-without-bump path (the acceptance scenario: mutate
+engine code in ``core/batch.py`` or a closed-form expression in
+``core/stacked.py``, no ``ENGINE_VERSION`` bump, gate goes red), baseline suppression, and the CLI's exit-code
 conventions.  A final check locks the shipped tree itself at zero
 diagnostics — the state CI enforces on every PR.
 """
@@ -322,10 +322,12 @@ class TestFingerprints:
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
         batch = root / "src/repro/core/batch.py"
+        text = batch.read_text()
+        assert "One configuration through the stacked engine" in text
         batch.write_text(
-            batch.read_text().replace(
-                "Batched load-grid evaluation engine",
-                "Batched load-grid evaluation engine (edited docs)",
+            text.replace(
+                "One configuration through the stacked engine",
+                "One configuration through the stacked engine (edited docs)",
             )
         )
         assert check_fingerprints(root, manifest) == []
@@ -334,13 +336,13 @@ class TestFingerprints:
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
-        batch = root / "src/repro/core/batch.py"
-        text = batch.read_text()
+        stacked = root / "src/repro/core/stacked.py"
+        text = stacked.read_text()
         assert "lambda_i2 = 0.5 * lambda_e1" in text
-        batch.write_text(text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"))
+        stacked.write_text(text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"))
         diags = check_fingerprints(root, manifest)
         assert [d.code for d in diags] == ["RF001"]
-        assert diags[0].path == "src/repro/core/batch.py"
+        assert diags[0].path == "src/repro/core/stacked.py"
         assert "ENGINE_VERSION" in diags[0].message
 
     def test_mutated_simulator_without_bump_is_rf002(self, tmp_path):
@@ -368,11 +370,13 @@ class TestFingerprints:
     def test_bump_plus_regen_is_clean(self, tmp_path):
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"
+        stacked = root / "src/repro/core/stacked.py"
+        stacked.write_text(
+            stacked.read_text().replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1")
+        )
         batch = root / "src/repro/core/batch.py"
         batch.write_text(
-            batch.read_text()
-            .replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1")
-            .replace('ENGINE_VERSION = "batch/2"', 'ENGINE_VERSION = "batch/3"')
+            batch.read_text().replace('ENGINE_VERSION = "batch/2"', 'ENGINE_VERSION = "batch/3"')
         )
         write_manifest(root, manifest)
         assert check_fingerprints(root, manifest) == []
@@ -503,10 +507,8 @@ class TestCLI:
         shutil.copytree(ROOT / "tools", scratch / "tools")
         batch = scratch / "src/repro/core/batch.py"
         text = batch.read_text()
-        assert "lambda_i2 = 0.5 * lambda_e1" in text
-        batch.write_text(
-            text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.5000001 * lambda_e1")
-        )
+        assert "points: int = 33" in text  # refine_monotone_crossing's probe grid
+        batch.write_text(text.replace("points: int = 33", "points: int = 34"))
         proc = run_cli("src/repro", cwd=scratch)
         assert proc.returncode == 1
         assert "RF001" in proc.stdout

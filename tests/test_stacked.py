@@ -1,15 +1,22 @@
-"""Stacked-engine equivalence suite (core.stacked): bit-identity per cell.
+"""Stacked-engine lane checks (core.stacked): N-cell stack vs one-cell lanes.
 
-The cross-cell :class:`StackedModel` swaps in silently for per-cell
-:class:`BatchedModel` evaluation inside explore, performability and
-calibrate, so its contract is *bit-for-bit* equality — not round-off
-closeness — for every metric those consumers read: per-resource
-saturation dictionaries, binding resources, λ*, zero-load floors, auto
-load grids, latency curves, knee loads and budget capacities.  The suite
-locks that contract across the full scenario registry (which includes
-the m=8 heterogeneity ladder), ragged mixed-topology cell sets (padding
-+ masks), the ``ModelOptions`` ablation space and performability
-degraded states including single-cluster/single-stage edge systems.
+:class:`BatchedModel` is a one-cell :class:`StackedModel`, so every
+per-cell comparison here checks an N-cell stack against the one-cell
+stacks of its cells.  The contract is *bit-for-bit* equality — not
+round-off closeness — for every metric the stack's consumers (explore,
+performability, calibrate) read: per-resource saturation dictionaries,
+binding resources, λ*, zero-load floors, auto load grids, latency curves,
+knee loads and budget capacities, so a cell's numbers never depend on
+which other cells share its stack.  The suite covers the full scenario
+registry (which includes the m=8 heterogeneity ladder), ragged
+mixed-topology cell sets (padding + masks), the ``ModelOptions`` ablation
+space and performability degraded states including single-cluster/
+single-stage edge systems.
+
+The exact reference values are pinned separately by the engine golden
+corpus (``tests/goldens/engine.json``, replayed in
+``tests/test_regression_goldens.py``); ``tests/test_batch.py`` checks the
+engine against the scalar oracle.
 """
 
 import numpy as np
@@ -35,7 +42,7 @@ def per_cell_engines(cells):
 
 
 def assert_stack_matches(cells, names=None):
-    """Every consumer-facing metric, stacked vs per-cell, bit for bit."""
+    """Every consumer-facing metric, N-cell stack vs one-cell lanes, bit for bit."""
     names = names or [f"cell{idx}" for idx in range(len(cells))]
     stack = StackedModel(cells)
     engines = per_cell_engines(cells)

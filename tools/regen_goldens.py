@@ -14,7 +14,8 @@ per-resource saturation map, the binding resource, the zero-load latency,
 the auto load grid and its latency curve, every resource utilisation at
 0.9 λ*, and the budget capacity (at the spec's latency budget, or at 2.5×
 the zero-load latency when the spec has none).  CI replays it through the
-``BatchedModel`` facade and through one stack of every scenario.
+``BatchedModel`` facade (:func:`engine_outputs`) and through one stack of
+every scenario (:func:`stacked_engine_outputs`).
 
 Regen protocol (the RF003 discipline, applied to trajectories)
 --------------------------------------------------------------
@@ -187,6 +188,37 @@ def engine_outputs(spec, engine) -> dict:
         ],
         "capacity": plan.achieved,
     }
+
+
+def stacked_engine_outputs(specs) -> list:
+    """:func:`engine_outputs` for every spec at once, through one ``StackedModel``."""
+    import numpy as np
+
+    from repro.core.stacked import StackedModel
+
+    stack = StackedModel.from_specs(specs)
+    saturation = stack.saturation_loads()
+    binding = stack.binding_resources()
+    lam = stack.saturation_load()
+    zero = stack.zero_load_latencies()
+    grids = stack.auto_load_grids()
+    curves = stack.evaluate_latencies(grids)
+    capacity = stack.loads_at_budget(np.array([engine_budget(s, z) for s, z in zip(specs, zero)]))
+    return [
+        {
+            "saturation_loads": saturation[c],
+            "binding_resource": binding[c],
+            "zero_load_latency": zero[c],
+            "grid": grids[c],
+            "curve": curves[c],
+            "utilizations": [
+                (r.resource, r.kind, r.utilization)
+                for r in stack.resource_utilizations(c, [0.9 * lam[c]])
+            ],
+            "capacity": capacity[c],
+        }
+        for c in range(len(specs))
+    ]
 
 
 def build_engine_corpus() -> dict:
