@@ -7,6 +7,7 @@ the bit-equality of their results).
 """
 
 import os
+import time
 
 import pytest
 
@@ -40,18 +41,29 @@ def test_message_level_throughput_paper_system(benchmark, sessions, out_dir):
 def test_array_engine_speedup(benchmark, sessions, out_dir):
     """Reference loop vs compiled array core at the same operating point.
 
-    Records events/s for both engines (``sim_events_per_second.json``) and
-    asserts the results agree modulo wall-clock — the bit-exactness proof
-    lives in tests/test_eventcore.py; this is the throughput figure.  On a
-    host without a C compiler the array engine falls back to the reference
-    loop and the recorded speedup is honestly ~1x.
+    Records warm, kernel-only events/s for both engines
+    (``sim_events_per_second.json``) beside each engine's cold end-to-end
+    wall: a fresh ``SimulationSession`` built and run once, route tables
+    included.  Asserts the results agree modulo wall-clock — the
+    bit-exactness proof lives in tests/test_eventcore.py; this is the
+    throughput figure.  On a host without a C compiler the array engine
+    falls back to the reference loop and the recorded speedup is honestly
+    ~1x.
     """
     from dataclasses import replace
 
     from repro.simulation import kernel_available
 
-    session = sessions.get(paper_system_544(), MessageSpec(32, 256.0))
     window = MeasurementWindow(500, 5000, 500)
+    cold = {}
+    for engine in ("reference", "array"):
+        start = time.perf_counter()
+        SimulationSession(paper_system_544(), MessageSpec(32, 256.0)).run(
+            3e-4, seed=0, window=window, engine=engine
+        )
+        cold[engine] = time.perf_counter() - start
+
+    session = sessions.get(paper_system_544(), MessageSpec(32, 256.0))
 
     reference = session.run(3e-4, seed=0, window=window, engine="reference")
     array = benchmark.pedantic(
@@ -69,12 +81,21 @@ def test_array_engine_speedup(benchmark, sessions, out_dir):
         f"message-level engines, N=544 @ λ=3e-4, {array.events} events "
         f"(kernel {'available' if kernel_available() else 'UNAVAILABLE - fallback'}): "
         f"reference {ref_rate:,.0f} events/s vs array {arr_rate:,.0f} events/s "
-        f"-> {speedup:.2f}x (results identical modulo wall-clock)",
+        f"-> {speedup:.2f}x (results identical modulo wall-clock); cold end to end "
+        f"(fresh session): reference {cold['reference']:.2f}s vs array {cold['array']:.2f}s",
         payload={
             "events": array.events,
             "kernel_available": kernel_available(),
-            "reference": {"events_per_second": ref_rate, "wall_seconds": reference.wall_seconds},
-            "array": {"events_per_second": arr_rate, "wall_seconds": array.wall_seconds},
+            "reference": {
+                "events_per_second": ref_rate,
+                "wall_seconds": reference.wall_seconds,
+                "cold_wall_seconds": cold["reference"],
+            },
+            "array": {
+                "events_per_second": arr_rate,
+                "wall_seconds": array.wall_seconds,
+                "cold_wall_seconds": cold["array"],
+            },
             "speedup": speedup,
         },
     )

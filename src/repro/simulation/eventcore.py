@@ -13,9 +13,11 @@ the *same* event loop over flat arrays:
   message ``s``, and when) by :func:`generation_schedule` /
   ``eventcore_prepass``, and uniform destinations are adjusted in one
   vectorized expression;
-* the per-segment release arithmetic of ``fabric.hot_resolver`` is folded
-  into flat segment tables (channel ids, ``M·τ_k`` holds, drains and
-  release offsets as contiguous arrays) shared across runs of a session.
+* paths come from the fabric's route tables: every segment's channel
+  ids, ``M·τ_k`` holds, drain and release offsets are contiguous arrays
+  built once per run config (:meth:`ResolvedFabric.segment_tables
+  <repro.simulation.fabric.ResolvedFabric.segment_tables>`), and each run
+  gives its messages their segment ids by plain indexing.
 
 The hot loop itself lives in ``_eventcore.c``, compiled on demand with
 the system C compiler and loaded through :mod:`ctypes` — no third-party
@@ -46,7 +48,6 @@ import subprocess
 import sys
 import tempfile
 import time as _time
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,160 +335,6 @@ def kernel_prepass(
 
 
 # ---------------------------------------------------------------------------
-# flattened path/segment tables (cached per fabric × run config)
-# ---------------------------------------------------------------------------
-
-#: fabric -> {(ideal_sinks, cd_mode) -> _EventCoreContext}.  Weak on the
-#: fabric so a discarded session releases its tables.
-_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: Above this node count the dense (src, dst) -> path-id matrix would be
-#: too large; fall back to a dict lookup per message.
-_PID_MATRIX_MAX_NODES = 2048
-
-
-class _EventCoreContext:
-    """Flattened fabric tables for one (ideal_sinks, cd_mode) config.
-
-    Segment records from ``fabric.hot_resolver`` are appended once into
-    growing flat tables (deduplicated — segments are shared across paths
-    exactly as the resolver shares them) and snapshotted into contiguous
-    ndarrays on demand; a session reuses the tables across load points
-    and seeds.
-    """
-
-    def __init__(self, fabric, ideal_sinks: bool, cd_mode: str) -> None:
-        self.resolver = fabric.hot_resolver(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
-        self.flit_time = np.ascontiguousarray(fabric.flit_time, dtype=np.float64)
-        self.uncontended = np.asarray(
-            fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode),
-            dtype=np.int8,
-        )
-        self.group = np.ascontiguousarray(fabric.group, dtype=np.int8)
-        self.cluster_index = np.asarray(fabric.cluster_index, dtype=np.int32)
-        self.n_channels = fabric.num_channels
-        n = fabric.system.total_nodes
-        self._pid_matrix = (
-            np.full((n, n), -1, dtype=np.int32) if n <= _PID_MATRIX_MAX_NODES else None
-        )
-        self._pid_map: dict = {}
-        self._path_ids: dict = {}
-        self._seg_ids: dict = {}
-        self._seg_len: list[int] = []
-        self._p_off: list[int] = [0]
-        self._p_segs: list[int] = []
-        self._s_cid_off: list[int] = [0]
-        self._s_cids: list[int] = []
-        self._s_hold: list[float] = []
-        self._s_drain: list[float] = []
-        self._s_rel_off: list[int] = [0]
-        self._r_kk: list[int] = []
-        self._r_cid: list[int] = []
-        self._r_hold: list[float] = []
-        self._r_off: list[float] = []
-        self.gstride = 1
-        self.max_hops = 1
-        self._dirty = True
-        self._arrays: "dict[str, np.ndarray] | None" = None
-
-    def _add_segment(self, spec) -> int:
-        cids, hold, _tau, drain, last, rel_items = spec
-        sid = len(self._s_drain)
-        self._s_cids.extend(cids)
-        self._s_hold.extend(hold)
-        self._s_cid_off.append(len(self._s_cids))
-        self._s_drain.append(drain)
-        for kk, cid, hold_kk, off in rel_items:
-            self._r_kk.append(kk)
-            self._r_cid.append(cid)
-            self._r_hold.append(hold_kk)
-            self._r_off.append(off)
-        self._s_rel_off.append(len(self._r_kk))
-        self._seg_len.append(last + 1)
-        self.gstride = max(self.gstride, last + 1)
-        self._seg_ids[spec] = sid
-        return sid
-
-    def _pid_for(self, source: int, destination: int) -> int:
-        pair = (source, destination)
-        pid = self._pid_map.get(pair)
-        if pid is not None:
-            return pid
-        seg_ids = []
-        for spec in self.resolver(source, destination):
-            sid = self._seg_ids.get(spec)
-            if sid is None:
-                sid = self._add_segment(spec)
-                self._dirty = True
-            seg_ids.append(sid)
-        key = tuple(seg_ids)
-        pid = self._path_ids.get(key)
-        if pid is None:
-            pid = len(self._p_off) - 1
-            self._p_segs.extend(key)
-            self._p_off.append(len(self._p_segs))
-            self._path_ids[key] = pid
-            self.max_hops = max(self.max_hops, sum(self._seg_len[s] for s in key))
-            self._dirty = True
-        self._pid_map[pair] = pid
-        return pid
-
-    def paths_for(self, g_node: np.ndarray, g_dest: np.ndarray) -> np.ndarray:
-        """Path id per message, vectorized through the dense pair matrix."""
-        if self._pid_matrix is not None:
-            pids = self._pid_matrix[g_node, g_dest]
-            missing = np.flatnonzero(pids < 0)
-            if missing.size:
-                matrix = self._pid_matrix
-                for i in missing:
-                    s, d = int(g_node[i]), int(g_dest[i])
-                    pid = matrix[s, d]
-                    if pid < 0:
-                        pid = self._pid_for(s, d)
-                        matrix[s, d] = pid
-                    pids[i] = pid
-            return np.ascontiguousarray(pids, dtype=np.int32)
-        pid_for = self._pid_for
-        return np.fromiter(
-            (pid_for(int(s), int(d)) for s, d in zip(g_node, g_dest)),
-            dtype=np.int32,
-            count=len(g_node),
-        )
-
-    def arrays(self) -> dict:
-        """Contiguous snapshots of the flat tables (rebuilt when they grew)."""
-        if self._dirty or self._arrays is None:
-            self._arrays = {
-                "p_off": np.asarray(self._p_off, dtype=np.int32),
-                "p_segs": np.asarray(self._p_segs, dtype=np.int32),
-                "s_cid_off": np.asarray(self._s_cid_off, dtype=np.int32),
-                "s_cids": np.asarray(self._s_cids, dtype=np.int32),
-                "s_hold": np.asarray(self._s_hold, dtype=np.float64),
-                "s_drain": np.asarray(self._s_drain, dtype=np.float64),
-                "s_rel_off": np.asarray(self._s_rel_off, dtype=np.int32),
-                "r_kk": np.asarray(self._r_kk, dtype=np.int32),
-                "r_cid": np.asarray(self._r_cid, dtype=np.int32),
-                "r_hold": np.asarray(self._r_hold, dtype=np.float64),
-                "r_off": np.asarray(self._r_off, dtype=np.float64),
-            }
-            self._dirty = False
-        return self._arrays
-
-
-def _context_for(sim) -> _EventCoreContext:
-    per_fabric = _CONTEXTS.get(sim.fabric)
-    if per_fabric is None:
-        per_fabric = {}
-        _CONTEXTS[sim.fabric] = per_fabric
-    key = (bool(sim.ideal_sinks), sim.cd_mode)
-    ctx = per_fabric.get(key)
-    if ctx is None:
-        ctx = _EventCoreContext(sim.fabric, *key)
-        per_fabric[key] = ctx
-    return ctx
-
-
-# ---------------------------------------------------------------------------
 # the array-engine run
 # ---------------------------------------------------------------------------
 
@@ -506,9 +353,12 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
 
     window = sim.window
     total = window.total
-    system = sim.fabric.system
+    fabric = sim.fabric
+    system = fabric.system
     n_nodes = system.total_nodes
-    ctx = _context_for(sim)
+    n_channels = fabric.num_channels
+    tables = fabric.segment_tables(ideal_sinks=sim.ideal_sinks, cd_mode=sim.cd_mode)
+    gstride = fabric.max_segment_channels
 
     gaps = sim._arrival_gaps_array
     g_time, g_node, dead_time, dead_node = kernel_prepass(gaps, n_nodes, total)
@@ -526,14 +376,16 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
             dtype=np.int64,
             count=total,
         )
-    m_path = ctx.paths_for(g_node, g_dest)
-    tables = ctx.arrays()
+    # Path id = message sequence number: this run's own path table.
+    m_path = np.arange(total, dtype=np.int32)
+    p_off, p_segs = fabric.path_segments(g_node, g_dest)
 
     measured_target = window.measured
-    heap_cap = total + ctx.n_channels + 8
+    heap_cap = total + n_channels + 8
     trace_cap = 0
     if trace is not None:
-        bound = total * (2 * ctx.max_hops + 4) + 2 * n_nodes + 16
+        # A journey has at most three segments.
+        bound = total * (6 * gstride + 4) + 2 * n_nodes + 16
         trace_cap = min(bound, max_events + 4)
 
     heap_time = np.empty(heap_cap, dtype=np.float64)
@@ -545,11 +397,11 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     m_gc = np.zeros(total, dtype=np.int32)
     m_qnext = np.empty(total, dtype=np.int32)
     m_reqt = np.zeros(total, dtype=np.float64)
-    grants = np.zeros(total * ctx.gstride, dtype=np.float64)
-    occupancy = np.zeros(ctx.n_channels, dtype=np.int32)
-    last_grant = np.zeros(ctx.n_channels, dtype=np.float64)
-    q_head = np.full(ctx.n_channels, -1, dtype=np.int32)
-    q_tail = np.full(ctx.n_channels, -1, dtype=np.int32)
+    grants = np.zeros(total * gstride, dtype=np.float64)
+    occupancy = np.zeros(n_channels, dtype=np.int32)
+    last_grant = np.zeros(n_channels, dtype=np.float64)
+    q_head = np.full(n_channels, -1, dtype=np.int32)
+    q_tail = np.full(n_channels, -1, dtype=np.int32)
     busy = np.zeros(len(GROUPS), dtype=np.float64)
     lat = np.empty(measured_target, dtype=np.float64)
     inter = np.empty(measured_target, dtype=np.int8)
@@ -562,7 +414,7 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     out_w = np.zeros(2, dtype=np.int64)
 
     state = _StateStruct(
-        n_channels=ctx.n_channels,
+        n_channels=n_channels,
         n_nodes=n_nodes,
         total=total,
         n_dead=n_nodes,
@@ -571,30 +423,30 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
         measured_target=measured_target,
         max_events=max_events,
         cd_paper=int(sim.cd_mode == "paper"),
-        grants_stride=ctx.gstride,
+        grants_stride=gstride,
         heap_cap=heap_cap,
         trace_cap=trace_cap,
         eseq0=4 * n_nodes,
-        flit_time=ctx.flit_time.ctypes.data,
-        uncontended=ctx.uncontended.ctypes.data,
-        group=ctx.group.ctypes.data,
-        cluster_index=ctx.cluster_index.ctypes.data,
+        flit_time=fabric.flit_time.ctypes.data,
+        uncontended=tables.uncontended.ctypes.data,
+        group=fabric.group.ctypes.data,
+        cluster_index=fabric.node_cluster.ctypes.data,
         g_time=g_time.ctypes.data,
         g_node=g_node.ctypes.data,
         dead_time=dead_time.ctypes.data,
         dead_node=dead_node.ctypes.data,
         m_path=m_path.ctypes.data,
-        p_off=tables["p_off"].ctypes.data,
-        p_segs=tables["p_segs"].ctypes.data,
-        s_cid_off=tables["s_cid_off"].ctypes.data,
-        s_cids=tables["s_cids"].ctypes.data,
-        s_hold=tables["s_hold"].ctypes.data,
-        s_drain=tables["s_drain"].ctypes.data,
-        s_rel_off=tables["s_rel_off"].ctypes.data,
-        r_kk=tables["r_kk"].ctypes.data,
-        r_cid=tables["r_cid"].ctypes.data,
-        r_hold=tables["r_hold"].ctypes.data,
-        r_off=tables["r_off"].ctypes.data,
+        p_off=p_off.ctypes.data,
+        p_segs=p_segs.ctypes.data,
+        s_cid_off=tables.s_cid_off.ctypes.data,
+        s_cids=tables.s_cids.ctypes.data,
+        s_hold=tables.s_hold.ctypes.data,
+        s_drain=tables.s_drain.ctypes.data,
+        s_rel_off=tables.s_rel_off.ctypes.data,
+        r_kk=tables.r_kk.ctypes.data,
+        r_cid=tables.r_cid.ctypes.data,
+        r_hold=tables.r_hold.ctypes.data,
+        r_off=tables.r_off.ctypes.data,
         heap_time=heap_time.ctypes.data,
         heap_tag=heap_tag.ctypes.data,
         heap_payload=heap_payload.ctypes.data,

@@ -116,12 +116,10 @@ class FlitLevelSimulator:
 
         n_ch = fabric.num_channels
         self._flit_time = fabric.flit_time.tolist()
-        uncontended = fabric.ejection.copy() if ideal_sinks else [False] * n_ch
-        if cd_mode == "paper":
-            # Concentrator ingress buffers accept interleaved flits (the
-            # model's "always able to receive" sink assumption, Eq. 29).
-            uncontended = [u or cd for u, cd in zip(uncontended, fabric.cd_reception)]
-        self._uncontended = uncontended
+        # Concentrator ingress buffers accept interleaved flits under
+        # cd_mode="paper" (the model's "always able to receive" sink
+        # assumption, Eq. 29); ideal sinks add the ejection links.
+        self._uncontended = fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
         self._holder = [-1] * n_ch
         self._waiters: list[deque] = [deque() for _ in range(n_ch)]
         self._last_grant = [0.0] * n_ch

@@ -35,9 +35,10 @@ for CPython throughput rather than for symmetry with the flit engine:
   list records (list indexing beats both ``__slots__`` attribute access and
   dict lookups by message id — the message object itself rides in the event
   tuple, so there is no id table at all);
-* paths come from :meth:`ResolvedFabric.resolve_runtime` as pre-resolved
-  per-segment tuples ``(channel_ids, hold_times, τ*, drain, last)`` with
-  the ``M·τ_k`` / ``(M−1)·τ*`` products folded in at resolve time;
+* paths come from :meth:`ResolvedFabric.hot_resolver` as per-segment
+  records ``(channel_ids, drain, last, rel_items)`` from the fabric's
+  route tables, with the ``M·τ_k`` / ``(M−1)·τ*`` products folded in once
+  per run config;
 * arrival gaps and uniform destination draws are pre-generated in one
   batched numpy call each (bit-identical to the historical scalar draws,
   because numpy's ``Generator`` streams the same values either way) and
@@ -157,23 +158,12 @@ class MessageLevelWormholeSimulator:
         self.generation_rate = generation_rate
         self.ideal_sinks = ideal_sinks
 
-        n_ch = fabric.num_channels
-        self._flit_time = fabric.flit_time.tolist()
         # Concentrator ingress buffers accept interleaved flits under
         # cd_mode="paper" (the model's "always able to receive" sink
         # assumption, Eq. 29); ideal sinks add the ejection links.
         self._uncontended = fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
-        # Per-channel occupancy: holder (0/1) + queued waiters, one int so
-        # the request fast path reads a single list cell.
-        self._occupancy = [0] * n_ch
-        self._waiters: list[deque] = [deque() for _ in range(n_ch)]
-        self._last_grant = [0.0] * n_ch
-        self._busy = [0.0] * len(GROUPS)
-        self._group = fabric.group.tolist()
-        self._cluster_index = fabric.cluster_index
 
         self.collector = LatencyCollector(window)
-        self._heap: list = []
         self._generated = 0
         self._events = 0
         self._now = 0.0
@@ -233,18 +223,22 @@ class MessageLevelWormholeSimulator:
         measured_end = warmup + window.measured
         measured_target = window.measured
 
-        heap = self._heap
+        fabric = self.fabric
+        n_ch = fabric.num_channels
+        heap: list = []
         push = heappush
         pop = heappop
-        flit_time = self._flit_time
+        flit_time = fabric.flit_time.tolist()
         uncontended = self._uncontended
-        occupancy = self._occupancy
-        waiters = self._waiters
-        last_grant = self._last_grant
-        busy = self._busy
-        group = self._group
-        cluster_index = self._cluster_index
-        paths = self.fabric.hot_resolver(ideal_sinks=self.ideal_sinks, cd_mode=self.cd_mode)
+        # Per-channel occupancy: holder (0/1) + queued waiters, one int so
+        # the request fast path reads a single list cell.
+        occupancy = [0] * n_ch
+        waiters = [deque() for _ in range(n_ch)]
+        last_grant = [0.0] * n_ch
+        busy = [0.0] * len(GROUPS)
+        group = fabric.group.tolist()
+        cluster_index = fabric.cluster_index
+        paths = fabric.hot_resolver(ideal_sinks=self.ideal_sinks, cd_mode=self.cd_mode)
         collector = self.collector
         lat_append = collector._latencies.append
         inter_append = collector._is_inter.append
@@ -252,7 +246,7 @@ class MessageLevelWormholeSimulator:
         cd_paper = self.cd_mode == "paper"
         arr = self._arrival_gaps
         dest_draws = self._dest_draws
-        system = self.fabric.system
+        system = fabric.system
         n_nodes = system.total_nodes
         arr_gen = arr[n_nodes:]  # gap i belongs to generation i
         pattern_sample = None if dest_draws is not None else self.pattern.sample_destination
@@ -354,7 +348,7 @@ class MessageLevelWormholeSimulator:
                 msg = payload
                 seg = msg[_CUR]
                 k = msg[_K]
-                if k < seg[4]:
+                if k < seg[2]:
                     k += 1
                     msg[_K] = k
                     cid = seg[0][k]
@@ -378,8 +372,8 @@ class MessageLevelWormholeSimulator:
                     # for the contended channels (rel_items pre-folds the
                     # release arithmetic and skips uncontended links).
                     grants = msg[_GRANTS]
-                    t_del = t + seg[3]
-                    for kk, cid, hold_kk, off in seg[5]:
+                    t_del = t + seg[1]
+                    for kk, cid, hold_kk, off in seg[3]:
                         release = grants[kk] + hold_kk
                         drain = t_del - off
                         eseq += 4

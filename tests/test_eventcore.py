@@ -43,7 +43,7 @@ needs_kernel = pytest.mark.skipif(
     not kernel_available(), reason="no C compiler/kernel on this host"
 )
 
-SCENARIOS = ("544", "544-hotspot", "544-local", "het8-extreme", "het8-uniform")
+SCENARIOS = ("544", "544-hotspot", "544-local", "het8-extreme", "het8-uniform", "1120", "544-x4")
 SEEDS = (0, 1, 2024)
 WINDOW = MeasurementWindow(100, 600, 100)
 LOAD = 3e-4
