@@ -5,10 +5,13 @@ This package is the only place in the repository that talks to
 enforces it).  It wraps raw pool fan-out with the robustness a
 multi-hour study needs:
 
-* :func:`run_supervised` — retries, per-item timeouts, bounded pool
-  respawn after worker crashes, graceful degradation to serial
-  execution, typed :class:`ItemOutcome` records instead of
-  batch-aborting exceptions (:mod:`repro.exec.supervisor`);
+* :func:`run_sharded` / :func:`run_supervised` — shards of payloads (or
+  one payload at a time) with retries, timeouts, bounded pool respawn
+  after worker crashes, graceful degradation to serial execution, typed
+  :class:`ItemOutcome` records instead of batch-aborting exceptions
+  (:mod:`repro.exec.supervisor`);
+* :class:`CacheStage` — the content-key cache/journal/resume stage the
+  study fan-outs share (:mod:`repro.exec.stage`);
 * :class:`RunPolicy` — the frozen knob set controlling all of the above,
   with deterministic seed-derived backoff (:mod:`repro.exec.policy`);
 * :class:`RunJournal` — an append-only, fsynced record of completed item
@@ -43,7 +46,8 @@ from repro.exec.outcomes import (
     raise_on_failure,
 )
 from repro.exec.policy import RunPolicy
-from repro.exec.supervisor import resolve_jobs, run_supervised
+from repro.exec.stage import CacheStage
+from repro.exec.supervisor import resolve_jobs, run_sharded, run_supervised
 
 __all__ = [
     "FAULTS_ENV",
@@ -53,6 +57,7 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_TIMEOUT",
     "RUN_JOURNAL_SCHEMA",
+    "CacheStage",
     "ExecutionFailed",
     "FaultInjected",
     "FaultPlan",
@@ -67,5 +72,6 @@ __all__ = [
     "maybe_corrupt_cache",
     "raise_on_failure",
     "resolve_jobs",
+    "run_sharded",
     "run_supervised",
 ]

@@ -37,7 +37,7 @@ class RunPolicy:
     timeout:
         per-item wall-clock budget in seconds for *pooled* execution
         (measured from the moment the supervisor observes the item
-        running).  ``None`` disables the check.  Serial execution cannot
+        running; a shard of ``k`` items gets ``k × timeout``).  ``None`` disables the check.  Serial execution cannot
         preempt a running call, so timeouts are not enforced there.
     backoff_base / backoff_factor / backoff_max:
         the delay before retry attempt ``k`` (1-based) is

@@ -28,12 +28,12 @@ columns of the long-format table):
     (:func:`repro.analysis.frontier.bandwidth_cost_proxy`).
 
 Cells are pure functions of their spec, so :func:`explore_grid` prices
-them either through one cross-cell stacked evaluation
-(:class:`repro.core.stacked.StackedModel`; the serial fast path) or by
-fanning them across the supervised process pool
-(:func:`repro.exec.run_supervised`)
-with results bit-identical for any worker count, and memoises them in a
-content-addressed on-disk cache (:mod:`repro.io.cache`) keyed by the
+them in shards — contiguous batches of cells, each evaluated as one
+cross-cell stack (:class:`repro.core.stacked.StackedModel`) — under the
+supervised runtime (:func:`repro.exec.run_sharded`): a serial run is one
+shard in process, ``jobs=k`` prices ``1/k`` of the cells per worker, and
+the results are bit-identical for any worker count.  Cells are memoised
+in a content-addressed on-disk cache (:mod:`repro.io.cache`) keyed by the
 cell's numeric spec content, the metric parameters and
 :data:`repro.core.batch.ENGINE_VERSION` — re-running an enlarged grid only
 evaluates the new cells.
@@ -49,26 +49,21 @@ remainder — byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro._util import require
-from repro.analysis.capacity import max_load_for_latency
 from repro.analysis.frontier import axis_sensitivity, bandwidth_cost_proxy, pareto_frontier_cells
 from repro.analysis.tables import render_table
-from repro.core.batch import ENGINE_VERSION, BatchedModel, refine_monotone_crossing
+from repro.core.batch import ENGINE_VERSION
 from repro.core.stacked import StackedModel
-from repro.exec import (
-    RunJournal,
-    RunPolicy,
-    maybe_corrupt_cache,
-    resolve_jobs,
-    run_supervised,
-)
+from repro.exec import CacheStage, ItemOutcome, RunPolicy, resolve_jobs, run_sharded
+from repro.exec.stage import has_metrics
 from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, canonical_numbers, content_key
-from repro.io.schemas import EXPLORE_CELL_SCHEMA, RUN_JOURNAL_SCHEMA
+from repro.io.schemas import EXPLORE_CELL_SCHEMA
 from repro.scenarios.grid import DesignGrid, format_axis_value
 from repro.scenarios.spec import ScenarioSpec
 
@@ -113,73 +108,26 @@ def cell_cache_key(spec: ScenarioSpec, knee_threshold_factor: float) -> str:
     )
 
 
-def _model_knee(engine: BatchedModel, lam_star: float, zero: float, factor: float) -> float:
-    """Load where the model's latency first reaches ``factor ×`` its floor."""
-    threshold = factor * zero
+def _stacked_metrics(specs: "list[ScenarioSpec]", knee_threshold_factor: float) -> "list[dict]":
+    """One shard of cells priced in one :class:`StackedModel` evaluation.
 
-    def beyond(grid: np.ndarray) -> np.ndarray:
-        latencies = engine.evaluate_many(grid, with_results=False).latencies
-        return ~(np.isfinite(latencies) & (latencies < threshold))
-
-    lo, _ = refine_monotone_crossing(0.0, lam_star * (1.0 - 1e-9), beyond, rel_tol=1e-6)
-    return lo
-
-
-def _cell_metrics(spec: ScenarioSpec, knee_threshold_factor: float) -> dict:
-    """Evaluate one cell through the batched closed forms (pure function)."""
-    engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
-    lam_star = engine.saturation_load()
-    binding = engine.binding_resource()
-    zero = engine.zero_load_latency()
-    knee = _model_knee(engine, lam_star, zero, knee_threshold_factor)
-    if math.isfinite(spec.latency_budget):
-        plan = max_load_for_latency(spec.system, spec.message, spec.latency_budget, engine=engine)
-        lambda_at_budget = plan.achieved
-    else:
-        lambda_at_budget = float("nan")
-    return {
-        "saturation_load": lam_star,
-        "binding_resource": binding,
-        "binding_kind": "concentrator" if binding.endswith(":concentrator") else "source-queue",
-        "zero_load_latency": zero,
-        "knee_load": knee,
-        "lambda_at_budget": lambda_at_budget,
-        "total_nodes": spec.system.total_nodes,
-        "cost_proxy": bandwidth_cost_proxy(spec.system),
-    }
-
-
-def _evaluate_cell(payload: tuple) -> dict:
-    """Worker for :func:`explore_grid` (module-level: picklable)."""
-    spec_dict, knee_threshold_factor = payload
-    return _cell_metrics(ScenarioSpec.from_dict(spec_dict), knee_threshold_factor)
-
-
-def _stacked_metrics(specs: "list[ScenarioSpec]", knee_threshold_factor: float) -> "list[dict] | None":
-    """All pending cells priced in one :class:`StackedModel` evaluation.
-
-    Returns per-cell metric mappings bit-identical to
-    :func:`_cell_metrics` (the stacked engine's contract, locked by
-    ``tests/test_stacked.py``), or ``None`` if the stack cannot evaluate
-    this cell set — the caller then falls back to the supervised
-    per-cell path, which also owns retry/NaN-row semantics.
+    A cell's metrics never depend on which other cells share its stack
+    (the stacked engine's contract, locked by ``tests/test_stacked.py``),
+    so any sharding of a grid yields the same table bit for bit.
     """
-    try:
-        stack = StackedModel.from_specs(specs)
-        lam_star = stack.saturation_load()
-        binding = stack.binding_resources()
-        zero = stack.zero_load_latencies()
-        knee = stack.knee_loads(knee_threshold_factor)
-        budgets = np.array(
-            [
-                spec.latency_budget if math.isfinite(spec.latency_budget) else float("nan")
-                for spec in specs
-            ],
-            dtype=np.float64,
-        )
-        at_budget = stack.loads_at_budget(budgets)
-    except Exception:
-        return None
+    stack = StackedModel.from_specs(specs)
+    lam_star = stack.saturation_load()
+    binding = stack.binding_resources()
+    zero = stack.zero_load_latencies()
+    knee = stack.knee_loads(knee_threshold_factor)
+    budgets = np.array(
+        [
+            spec.latency_budget if math.isfinite(spec.latency_budget) else float("nan")
+            for spec in specs
+        ],
+        dtype=np.float64,
+    )
+    at_budget = stack.loads_at_budget(budgets)
     return [
         {
             "saturation_load": float(lam_star[k]),
@@ -224,7 +172,7 @@ def explore_grid(
 ) -> ExperimentResult:
     """Evaluate every cell of *grid*; returns a uniform ``explore`` result.
 
-    ``jobs`` fans the uncached cells across a supervised process pool
+    ``jobs`` shards the uncached cells across a supervised process pool
     (``0``/"auto" = one worker per CPU); the table is bit-identical for
     any worker count.  ``cache`` (a directory path or
     :class:`ResultCache`) memoises per-cell metrics on disk — a repeated
@@ -241,11 +189,11 @@ def explore_grid(
     land; ``resume=True`` requires that journal and replays its cells
     from the cache, evaluating only the remainder.
 
-    Serial runs (``jobs`` absent or 1) with no explicit ``policy`` and no
-    ``resume`` price all uncached cells through one
-    :class:`~repro.core.stacked.StackedModel` evaluation — bit-identical
-    to the per-cell path by the stacked engine's contract, roughly 50×
-    faster on large grids (``data["stacked"]`` reports which path ran).
+    Uncached cells are priced in ``jobs`` contiguous shards, each one
+    :class:`~repro.core.stacked.StackedModel` evaluation (a serial run
+    is a single shard); ``data["stacked"]`` is true whenever any cell
+    was evaluated.  A shard whose evaluation raises is re-run one cell
+    at a time, so only the failing cell gets a NaN row.
 
     The result's ``data`` holds the long-format ``columns`` (one row per
     cell: name, one column per axis, then the metric columns), the full
@@ -265,102 +213,48 @@ def explore_grid(
 
     # Cache keys only exist to address the store and the journal; with no
     # cache configured, hashing 500 specs is pure overhead on the hot
-    # stacked path, so the whole identity block is store-gated.
-    keys: "list[str]" = []
-    journal = None
+    # stacked path, so the keys are store-gated.
     if store is not None:
         keys = [cell_cache_key(cell.spec, knee_threshold_factor) for cell in cells]
-        # The run's identity is its full work list: the same grid resumes
-        # itself, any change to the cell set starts a fresh journal.
-        run_key = content_key(
-            {"schema": RUN_JOURNAL_SCHEMA, "kind": "explore", "keys": keys}
-        )
-        journal = RunJournal.for_cache(store, run_key)
-    if resume:
-        require(store is not None, "resume requires a result cache (--cache)")
-        assert journal is not None
-        require(
-            journal.exists(),
-            f"resume requested but no run journal exists at {journal.path}",
-        )
-    journaled = journal.completed_keys() if journal is not None else set()
-
+    else:
+        keys = [None] * len(cells)
+    stage = CacheStage(store, "explore", keys, resume=resume)
     # Cache lookups resolve *before* any model construction: pure cache
-    # hits never build an engine, and the one-pass ``get_many`` replaces
-    # N per-key stats with one directory listing per fan-out prefix.
-    metrics: list = [None] * len(cells)
-    n_cached = 0
-    n_resumed = 0
-    if store is not None:
-        for idx, (key, entry) in enumerate(zip(keys, store.get_many(keys))):
-            # A hit must carry the full metric set: an incomplete mapping
-            # (hand-edited, or written by a build whose metric set changed
-            # without a schema bump) is a miss to recompute, not a crash.
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == EXPLORE_CELL_SCHEMA
-                and isinstance(entry.get("metrics"), dict)
-                and all(name in entry["metrics"] for name in _METRIC_COLUMNS)
-            ):
-                metrics[idx] = entry["metrics"]
-                n_cached += 1
-                if key in journaled:
-                    n_resumed += 1
-    pending = [idx for idx, m in enumerate(metrics) if m is None]
+    # hits never build an engine.  A hit must carry the full metric set:
+    # an incomplete mapping (hand-edited, or written by a build whose
+    # metric set changed without a schema bump) is a miss to recompute.
+    entries = stage.lookup(lambda e: has_metrics(e, EXPLORE_CELL_SCHEMA, _METRIC_COLUMNS))
+    metrics: list = [None if e is None else e["metrics"] for e in entries]
+    pending = stage.pending(entries)
     n_jobs = min(resolve_jobs(jobs), len(pending))
 
-    def _persist_cell(slot, value):
+    def _persist_cell(slot: int, outcome: ItemOutcome) -> None:
         # Runs in the supervising process as each cell finalises, so a
         # kill at any instant leaves cache+journal describing exactly the
         # completed cells (crash-safe resume).
-        if store is None:
-            return
-        idx = pending[slot]
-        store.put(
-            keys[idx],
-            {
+        if outcome.ok:
+            idx = pending[slot][0]
+            entry = {
                 "schema": EXPLORE_CELL_SCHEMA,
                 "engine_version": ENGINE_VERSION,
                 "cell": cells[idx].name,
-                "metrics": value,
-            },
-        )
-        maybe_corrupt_cache(store, keys[idx], slot)
-        journal.record(keys[idx], cell=cells[idx].name)
+                "metrics": outcome.value,
+            }
+            stage.persist(keys[idx], entry, slot, cell=cells[idx].name)
 
-    # Serial runs without fault-injection/resume machinery price every
-    # pending cell in ONE stacked evaluation (bit-identical, ~50x).  The
-    # supervised per-cell pool keeps ownership of ``--jobs`` fan-out and
-    # retry/NaN-row/resume semantics — nothing there changes shape.
+    outcomes = run_sharded(
+        functools.partial(_stacked_metrics, knee_threshold_factor=knee_threshold_factor),
+        [cells[group[0]].spec for group in pending],
+        jobs=n_jobs,
+        policy=policy,
+        on_result=_persist_cell,
+    )
     errors = []
-    stacked = False
-    stacked_values = None
-    if pending and jobs in (None, 1) and policy is None and not resume:
-        stacked_values = _stacked_metrics(
-            [cells[idx].spec for idx in pending], knee_threshold_factor
-        )
-    if stacked_values is not None:
-        stacked = True
-        for slot, idx in enumerate(pending):
-            metrics[idx] = stacked_values[slot]
-            _persist_cell(slot, stacked_values[slot])
-    else:
-        outcomes = run_supervised(
-            _evaluate_cell,
-            [(cells[idx].spec.to_dict(), knee_threshold_factor) for idx in pending],
-            jobs=n_jobs,
-            policy=policy,
-            on_result=lambda slot, outcome: (
-                _persist_cell(slot, outcome.value) if outcome.ok else None
-            ),
-        )
-        for slot, outcome in enumerate(outcomes):
-            idx = pending[slot]
-            if outcome.ok:
-                metrics[idx] = outcome.value
-            else:
-                metrics[idx] = _error_metrics(cells[idx].spec)
-                errors.append({"cell": cells[idx].name, **outcome.error_record()})
+    for group, outcome in zip(pending, outcomes):
+        for idx in group:
+            metrics[idx] = outcome.value if outcome.ok else _error_metrics(cells[idx].spec)
+        if not outcome.ok:
+            errors.append({"cell": cells[group[0]].name, **outcome.error_record()})
 
     columns: dict[str, list] = {"cell": [cell.name for cell in cells]}
     for axis in grid.axes:
@@ -377,10 +271,10 @@ def explore_grid(
         "axes": [axis.to_dict() for axis in grid.axes],
         "knee_threshold_factor": knee_threshold_factor,
         "evaluated": len(pending),
-        "cached": n_cached,
-        "cache_hits": n_cached,
-        "stacked": stacked,
-        "resumed": n_resumed,
+        "cached": stage.cached,
+        "cache_hits": stage.cached,
+        "stacked": bool(pending),
+        "resumed": stage.resumed,
         "jobs": n_jobs,
         "cache_root": str(store.root) if store is not None else None,
         "errors": errors,
@@ -409,10 +303,10 @@ def explore_grid(
         text += "\n\nfrontier views skipped: the table is partial"
     text += (
         f"\nevaluated {len(pending)} of {len(cells)} cells "
-        f"({n_cached} from cache, jobs={n_jobs})"
+        f"({stage.cached} from cache, jobs={n_jobs})"
     )
     if resume:
-        text += f"\nresumed {n_resumed} cell(s) from the run journal"
+        text += f"\nresumed {stage.resumed} cell(s) from the run journal"
     if errors:
         text += (
             f"\nPARTIAL: {len(errors)} of {len(cells)} cell(s) failed after retries"

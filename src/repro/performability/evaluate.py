@@ -31,11 +31,11 @@ asks for:
     independent of how likely the failure is, so zero-rate what-if modes
     rank too.
 
-Per-state evaluations are pure functions of the degraded spec, so serial
-runs price every distinct degraded system in one cross-cell stack
-(:class:`repro.core.stacked.StackedModel`) while ``jobs``/fault-policy
-runs fan out through the supervised runtime
-(:func:`repro.exec.run_supervised`; bit-identical tables either way and
+Per-state evaluations are pure functions of the degraded spec, so the
+distinct degraded systems are priced in shards — each one cross-cell
+stack (:class:`repro.core.stacked.StackedModel`) — under the supervised
+runtime (:func:`repro.exec.run_sharded`: one shard in process when
+serial, ``jobs`` shards across the pool otherwise, bit-identical tables
 for any worker count), and memoise in a content-addressed
 :class:`~repro.io.cache.ResultCache` keyed by the degraded spec, the load
 grid and the engine version.  States that degrade to the *same* system
@@ -45,6 +45,7 @@ cache key and are evaluated once.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,17 +54,11 @@ from repro._util import require
 from repro.analysis.tables import render_table
 from repro.core.batch import ENGINE_VERSION, BatchedModel
 from repro.core.stacked import StackedModel
-from repro.exec import (
-    ItemOutcome,
-    RunJournal,
-    RunPolicy,
-    maybe_corrupt_cache,
-    resolve_jobs,
-    run_supervised,
-)
+from repro.exec import CacheStage, ItemOutcome, RunPolicy, resolve_jobs, run_sharded
+from repro.exec.stage import has_metrics
 from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, canonical_numbers, content_key
-from repro.io.schemas import PERFORMABILITY_STATE_SCHEMA, RUN_JOURNAL_SCHEMA
+from repro.io.schemas import PERFORMABILITY_STATE_SCHEMA
 from repro.performability.degrade import DegradedState, expand_states, resolve_populations
 from repro.performability.spec import FailureScenario
 from repro.performability.states import steady_state
@@ -111,41 +106,18 @@ def _error_state_metrics(n_loads: int) -> dict:
     }
 
 
-def _evaluate_state(payload: tuple) -> dict:
-    """Worker for :func:`performability_analysis` (module-level: picklable)."""
-    spec_dict, loads = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
-    latencies = engine.evaluate_many(
-        np.asarray(loads, dtype=np.float64), with_results=False
-    ).latencies
-    return {
-        "saturation_load": engine.saturation_load(),
-        "binding_resource": engine.binding_resource(),
-        "zero_load_latency": engine.zero_load_latency(),
-        "latencies": [float(v) for v in latencies],
-    }
+def _stacked_state_metrics(specs: "list[ScenarioSpec]", loads: "list[float]") -> "list[dict]":
+    """One shard of degraded states priced in one stacked evaluation.
 
-
-def _stacked_state_metrics(
-    specs: "list[ScenarioSpec]", loads: "list[float]"
-) -> "list[dict] | None":
-    """All pending degraded states priced in one stacked evaluation.
-
-    Returns per-state metric mappings bit-identical to
-    :func:`_evaluate_state` (the stacked engine's contract, locked by
-    ``tests/test_stacked.py``), or ``None`` if the stack cannot evaluate
-    this state set — the caller then falls back to the supervised
-    per-state path, which also owns retry/NaN-row semantics.
+    A state's metrics never depend on which other states share its stack
+    (the stacked engine's contract, locked by ``tests/test_stacked.py``),
+    so any sharding yields the same tables bit for bit.
     """
-    try:
-        stack = StackedModel.from_specs(specs)
-        latencies = stack.evaluate_latencies(np.asarray(loads, dtype=np.float64))
-        lam_star = stack.saturation_load()
-        binding = stack.binding_resources()
-        zero = stack.zero_load_latencies()
-    except Exception:
-        return None
+    stack = StackedModel.from_specs(specs)
+    latencies = stack.evaluate_latencies(np.asarray(loads, dtype=np.float64))
+    lam_star = stack.saturation_load()
+    binding = stack.binding_resources()
+    zero = stack.zero_load_latencies()
     return [
         {
             "saturation_load": float(lam_star[k]),
@@ -230,11 +202,12 @@ def performability_analysis(
     system through the batched closed forms, and aggregates the
     availability-weighted metrics described in the module docstring.
 
-    ``jobs`` fans the uncached state evaluations across a process pool
-    (``0``/"auto" = one worker per CPU); tables are bit-identical for any
-    worker count.  ``cache`` (a directory path or
-    :class:`~repro.io.cache.ResultCache`) memoises per-state metrics on
-    disk, so a repeated run evaluates nothing.
+    ``jobs`` shards the uncached state evaluations across a process pool
+    (``0``/"auto" = one worker per CPU; each shard is one stacked
+    evaluation); tables are bit-identical for any worker count.
+    ``cache`` (a directory path or :class:`~repro.io.cache.ResultCache`)
+    memoises per-state metrics on disk, so a repeated run evaluates
+    nothing.
 
     ``policy`` tunes retries/timeouts/pool respawn
     (:class:`~repro.exec.RunPolicy`).  States still failing after
@@ -266,128 +239,54 @@ def performability_analysis(
     if cache is not None:
         store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
 
-    spec_dicts = []
-    keys = []
-    for st in states:
-        degraded = ScenarioSpec.from_dict(
-            {**spec.to_dict(), "system": st.system.to_dict()}
-        )
-        spec_dicts.append(degraded.to_dict())
-        keys.append(state_cache_key(degraded, tuple(loads)))
+    degraded_specs = [
+        ScenarioSpec.from_dict({**spec.to_dict(), "system": st.system.to_dict()})
+        for st in states
+    ]
+    keys = [state_cache_key(degraded, tuple(loads)) for degraded in degraded_specs]
 
-    # The run's identity is its full (deduplicated) state key list: the
-    # same study resumes itself, any change starts a fresh journal.
-    journal: "RunJournal | None" = None
-    if store is not None:
-        run_key = content_key(
-            {"schema": RUN_JOURNAL_SCHEMA, "kind": "performability", "keys": keys}
-        )
-        journal = RunJournal.for_cache(store, run_key)
-    if resume:
-        require(store is not None, "resume requires a result cache (--cache)")
-        assert journal is not None
-        require(
-            journal.exists(),
-            f"resume requested but no run journal exists at {journal.path}",
-        )
-    journaled = journal.completed_keys() if journal is not None else set()
+    # A hit must carry the full metric set with a curve matching the load
+    # grid; anything less is a miss to recompute.  Distinct availability
+    # states can degrade to the same system (node losses leave the
+    # topology alone): they share a cache key, so the stage groups them
+    # and each distinct degraded system is evaluated once.
+    stage = CacheStage(store, "performability", keys, resume=resume)
+    entries = stage.lookup(
+        lambda e: has_metrics(e, PERFORMABILITY_STATE_SCHEMA, _STATE_METRICS)
+        and isinstance(e["metrics"]["latencies"], list)
+        and len(e["metrics"]["latencies"]) == len(loads)
+    )
+    metrics: list = [None if e is None else e["metrics"] for e in entries]
+    pending = stage.pending(entries)
+    n_jobs = min(resolve_jobs(jobs), len(pending))
 
-    metrics: list = [None] * len(states)
-    n_cached = 0
-    n_resumed = 0
-    resumed_keys: set[str] = set()
-    if store is not None:
-        for idx, (key, entry) in enumerate(zip(keys, store.get_many(keys))):
-            # A hit must carry the full metric set with a curve matching
-            # the load grid; anything less is a miss to recompute.
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == PERFORMABILITY_STATE_SCHEMA
-                and isinstance(entry.get("metrics"), dict)
-                and all(name in entry["metrics"] for name in _STATE_METRICS)
-                and isinstance(entry["metrics"]["latencies"], list)
-                and len(entry["metrics"]["latencies"]) == len(loads)
-            ):
-                metrics[idx] = entry["metrics"]
-                n_cached += 1
-                if key in journaled and key not in resumed_keys:
-                    resumed_keys.add(key)
-                    n_resumed += 1
-
-    # Distinct availability states can degrade to the same system (node
-    # losses leave the topology alone); group pending states by cache key
-    # and evaluate each distinct degraded system once.
-    pending: dict[str, list[int]] = {}
-    for idx, m in enumerate(metrics):
-        if m is None:
-            pending.setdefault(keys[idx], []).append(idx)
-    unique = list(pending)
-    n_jobs = min(resolve_jobs(jobs), len(unique))
-
-    def _persist_state(slot: int, value: dict) -> None:
+    def _persist_state(slot: int, outcome: ItemOutcome) -> None:
         # Runs in the supervising process as each state finalises, so a
         # kill at any instant leaves cache+journal describing exactly the
         # completed states (crash-safe resume).
-        if store is None:
-            return
-        key = unique[slot]
-        store.put(
-            key,
-            {
+        if outcome.ok:
+            idx = pending[slot][0]
+            entry = {
                 "schema": PERFORMABILITY_STATE_SCHEMA,
                 "engine_version": ENGINE_VERSION,
-                "state": states[pending[key][0]].label,
-                "metrics": value,
-            },
-        )
-        maybe_corrupt_cache(store, key, slot)
-        assert journal is not None
-        journal.record(key, state=states[pending[key][0]].label)
+                "state": states[idx].label,
+                "metrics": outcome.value,
+            }
+            stage.persist(keys[idx], entry, slot, state=states[idx].label)
 
-    def _on_result(slot: int, outcome: ItemOutcome) -> None:
-        if outcome.ok:
-            _persist_state(slot, outcome.value)
-
-    # Serial runs without fault-injection/resume machinery price every
-    # distinct pending degraded system in ONE stacked evaluation
-    # (bit-identical); the supervised pool keeps ``--jobs`` fan-out and
-    # retry/NaN-row/resume semantics.
+    outcomes = run_sharded(
+        functools.partial(_stacked_state_metrics, loads=loads),
+        [degraded_specs[group[0]] for group in pending],
+        jobs=n_jobs,
+        policy=policy,
+        on_result=_persist_state,
+    )
     errors: list[dict] = []
-    stacked = False
-    stacked_values = None
-    if unique and jobs in (None, 1) and policy is None and not resume:
-        stacked_values = _stacked_state_metrics(
-            [ScenarioSpec.from_dict(spec_dicts[pending[key][0]]) for key in unique],
-            loads,
-        )
-    if stacked_values is not None:
-        stacked = True
-        for slot, key in enumerate(unique):
-            for idx in pending[key]:
-                metrics[idx] = stacked_values[slot]
-            _persist_state(slot, stacked_values[slot])
-    else:
-        outcomes = run_supervised(
-            _evaluate_state,
-            [(spec_dicts[pending[key][0]], tuple(loads)) for key in unique],
-            jobs=n_jobs,
-            policy=policy,
-            on_result=_on_result,
-        )
-        for slot, outcome in enumerate(outcomes):
-            key = unique[slot]
-            if outcome.ok:
-                for idx in pending[key]:
-                    metrics[idx] = outcome.value
-            else:
-                for idx in pending[key]:
-                    metrics[idx] = _error_state_metrics(len(loads))
-                errors.append(
-                    {
-                        "state": states[pending[key][0]].label,
-                        **outcome.error_record(),
-                    }
-                )
+    for group, outcome in zip(pending, outcomes):
+        for idx in group:
+            metrics[idx] = outcome.value if outcome.ok else _error_state_metrics(len(loads))
+        if not outcome.ok:
+            errors.append({"state": states[group[0]].label, **outcome.error_record()})
 
     n_total = spec.system.total_nodes
     lam_pristine = metrics[0]["saturation_load"]
@@ -431,11 +330,11 @@ def performability_analysis(
         "expected_capacity": expected_capacity,
         "curve": curve,
         "ranking": ranking,
-        "evaluated": len(unique),
-        "cached": n_cached,
-        "cache_hits": n_cached,
-        "stacked": stacked,
-        "resumed": n_resumed,
+        "evaluated": len(pending),
+        "cached": stage.cached,
+        "cache_hits": stage.cached,
+        "stacked": bool(pending),
+        "resumed": stage.resumed,
         "jobs": n_jobs,
         "cache_root": str(store.root) if store is not None else None,
         "errors": errors,
@@ -471,11 +370,11 @@ def performability_analysis(
         f"expected capacity under churn  = {expected_capacity:.4e} messages/time-unit"
     )
     text += (
-        f"\nevaluated {len(unique)} of {len(states)} states "
-        f"({n_cached} from cache, jobs={n_jobs})"
+        f"\nevaluated {len(pending)} of {len(states)} states "
+        f"({stage.cached} from cache, jobs={n_jobs})"
     )
     if resume:
-        text += f"\nresumed {n_resumed} state(s) from the run journal"
+        text += f"\nresumed {stage.resumed} state(s) from the run journal"
     if errors:
         text += (
             f"\nPARTIAL: {len(errors)} distinct state(s) failed after retries"

@@ -189,9 +189,9 @@ class TestParallelAndCache:
             [tiny_spec()], axes=TINY_AXES, cache=sim_cache, jobs=2, **TINY_KW
         )
         # Serial runs stack the whole model side in one cross-cell
-        # evaluation; --jobs falls back to the per-combination fan-out.
+        # evaluation; --jobs 2 stacks it in two shards.
         assert tiny_result.data["stacked"] is True
-        assert parallel.data["stacked"] is False
+        assert parallel.data["stacked"] is True
         for field in ("combinations", "columns", "ranking", "winner"):
             assert canonical(parallel.data[field]) == canonical(tiny_result.data[field])
 

@@ -27,6 +27,7 @@ from repro.exec import (
     fire,
     raise_on_failure,
     resolve_jobs,
+    run_sharded,
     run_supervised,
 )
 from repro.io.cache import ResultCache
@@ -38,6 +39,18 @@ def _double(payload):
 
 def _boom(payload):
     raise ValueError(f"boom {payload}")
+
+
+def _tag_shard(payloads):
+    """Shard function: each value records the shard it was priced in."""
+    return [(p * 2, tuple(payloads)) for p in payloads]
+
+
+def _double_all_but_7(payloads):
+    """Shard function with a genuine (not injected) failure on payload 7."""
+    if 7 in payloads:
+        raise ValueError("cannot price payload 7")
+    return [p * 2 for p in payloads]
 
 
 def _arm(monkeypatch, *faults):
@@ -172,6 +185,72 @@ class TestPooledExecution:
     def test_resolve_jobs_reexport(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(3) == 3
+
+
+class TestShardedExecution:
+    def test_serial_is_one_shard_and_jobs_2_two_contiguous_shards(self):
+        serial = run_sharded(_tag_shard, [0, 1, 2, 3, 4], jobs=1)
+        assert [o.value for o in serial] == [(2 * p, (0, 1, 2, 3, 4)) for p in range(5)]
+        pooled = run_sharded(_tag_shard, [0, 1, 2, 3, 4], jobs=2)
+        assert [o.value[0] for o in pooled] == [0, 2, 4, 6, 8]
+        assert [o.value[1] for o in pooled] == [(0, 1)] * 2 + [(2, 3, 4)] * 3
+        assert all(o.ok and o.attempts == 1 for o in serial + pooled)
+
+    def test_no_payloads_no_shards(self):
+        assert run_sharded(_tag_shard, [], jobs=2) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_genuine_failure_fails_only_its_payload(self, jobs):
+        outcomes = run_sharded(
+            _double_all_but_7, [5, 6, 7, 8], jobs=jobs, policy=RunPolicy(max_retries=1)
+        )
+        failed = outcomes[2]
+        assert failed.status == OUTCOME_FAILED
+        assert failed.attempts == 2  # max_retries + 1; the split was free
+        assert "cannot price payload 7" in failed.error
+        assert [(o.index, o.value, o.attempts) for o in outcomes if o.ok] == [
+            (0, 10, 1), (1, 12, 1), (3, 16, 1)
+        ]
+        with pytest.raises(ValueError, match="payload 7"):
+            raise_on_failure(outcomes)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_faults_match_per_payload_inside_a_shard(self, monkeypatch, jobs):
+        _arm(monkeypatch, {"op": "raise", "index": 2, "attempt": 0})
+        outcomes = run_sharded(_tag_shard, [0, 1, 2, 3], jobs=jobs)
+        assert [o.value[0] for o in outcomes] == [0, 2, 4, 6]
+        # Only payload 2 is charged: its shard split uncharged, then its
+        # singleton failed attempt 0 and succeeded at attempt 1.
+        assert [o.attempts for o in outcomes] == [1, 1, 2, 1]
+
+    def test_on_result_fires_once_per_payload(self, monkeypatch):
+        _arm(monkeypatch, {"op": "raise", "index": 1, "attempt": 0})
+        seen = []
+        outcomes = run_sharded(
+            _double_all_but_7,
+            [5, 6, 7, 8],
+            policy=RunPolicy(max_retries=0),
+            on_result=lambda i, o: seen.append((i, o.status)),
+        )
+        assert sorted(seen) == [(0, "ok"), (1, "failed"), (2, "failed"), (3, "ok")]
+        assert [o.ok for o in outcomes] == [True, False, False, True]
+
+    def test_timeout_budget_scales_with_shard_size(self, monkeypatch):
+        # Shard [0, 1] runs 1.2 s: over one payload's 1 s budget, inside
+        # the shard's 2 s budget, so nothing times out.
+        _arm(
+            monkeypatch,
+            {"op": "hang", "index": 0, "attempt": 0, "seconds": 0.6},
+            {"op": "hang", "index": 1, "attempt": 0, "seconds": 0.6},
+        )
+        outcomes = run_sharded(_tag_shard, [0, 1, 2, 3], jobs=2, policy=RunPolicy(timeout=1.0))
+        assert [o.attempts for o in outcomes] == [1, 1, 1, 1]
+
+    def test_hung_shard_charges_each_payload_a_timeout(self, monkeypatch):
+        _arm(monkeypatch, {"op": "hang", "index": 0, "attempt": 0, "seconds": 30.0})
+        outcomes = run_sharded(_tag_shard, [0, 1, 2, 3], jobs=2, policy=RunPolicy(timeout=1.0))
+        assert [o.value[0] for o in outcomes] == [0, 2, 4, 6]
+        assert [o.attempts for o in outcomes] == [2, 2, 1, 1]
 
 
 class TestFaultPlans:

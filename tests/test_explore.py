@@ -307,9 +307,9 @@ class TestStackedFastPath:
         pooled = explore_grid(grid, jobs=2)
         with_policy = explore_grid(grid, policy=RunPolicy(max_retries=0))
         assert serial.data["stacked"] is True
-        assert pooled.data["stacked"] is False
-        assert with_policy.data["stacked"] is False
-        # Fallback paths are byte-identical to the stacked one.
+        assert pooled.data["stacked"] is True
+        assert with_policy.data["stacked"] is True
+        # Two shards and a policy run are byte-identical to one shard.
         for other in (pooled, with_policy):
             assert canonical(serial.data["columns"]) == canonical(other.data["columns"])
             assert canonical(serial.data["cells"]) == canonical(other.data["cells"])

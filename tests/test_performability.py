@@ -387,9 +387,9 @@ class TestPerformabilityAnalysis:
         fanned = performability_analysis(base_544, acceptance_failures, jobs=2)
         assert fanned.data["jobs"] == 2
         # The serial run prices every distinct degraded system in one
-        # stacked evaluation; --jobs falls back to the supervised pool.
+        # stacked shard; --jobs 2 prices them in two.
         assert serial.data["stacked"] is True
-        assert fanned.data["stacked"] is False
+        assert fanned.data["stacked"] is True
         for key in ("columns", "curve", "ranking", "availability",
                     "saturation_load_weighted", "expected_capacity"):
             assert canonical(serial.data[key]) == canonical(fanned.data[key])

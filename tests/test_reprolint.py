@@ -212,6 +212,35 @@ class TestParallelSafetyRules:
         )
         assert codes(good, "src/repro/experiments/foo.py") == []
 
+    def test_rp301_lambda_into_run_supervised(self):
+        bad = (
+            "from repro.exec import run_supervised\n"
+            "outcomes = run_supervised(lambda p: p, [1, 2], jobs=2)\n"
+        )
+        assert "RP301" in codes(bad, "src/repro/experiments/foo.py")
+
+    def test_rp301_nested_function_into_run_sharded(self):
+        bad = (
+            "from repro.exec.supervisor import run_sharded\n"
+            "def run(payloads):\n"
+            "    def shard(ps):\n"
+            "        return ps\n"
+            "    return run_sharded(shard, payloads, jobs=2)\n"
+        )
+        assert "RP301" in codes(bad, "src/repro/experiments/foo.py")
+
+    def test_rp301_module_level_shard_function_is_clean(self):
+        good = (
+            "import functools\n"
+            "from repro.exec import run_sharded\n"
+            "def shard(ps, scale):\n"
+            "    return [p * scale for p in ps]\n"
+            "def run(payloads):\n"
+            "    fn = functools.partial(shard, scale=2)\n"
+            "    return run_sharded(fn, payloads, on_result=lambda i, o: None)\n"
+        )
+        assert codes(good, "src/repro/experiments/foo.py") == []
+
     def test_rp302_callable_field_on_work_item(self):
         bad = (
             "from dataclasses import dataclass\n"

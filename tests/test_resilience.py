@@ -16,6 +16,7 @@ import pytest
 from repro import cli
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
+from repro.core.stacked import StackedModel
 from repro.exec import FAULTS_ENV, RunPolicy
 from repro.experiments import explore_grid
 from repro.experiments.calibrate import calibrate_options
@@ -52,6 +53,22 @@ def tiny_spec() -> ScenarioSpec:
         system=homogeneous_system(switch_ports=4, tree_depth=2, num_clusters=4),
         message=MessageSpec(16, 256.0),
     )
+
+
+def _fail_stacks_with(monkeypatch, bandwidth: float) -> None:
+    """Make every stack holding a cell with this ICN2 bandwidth raise.
+
+    A genuine engine exception, not an injected fault: forked pool
+    workers inherit the patched classmethod.
+    """
+    build = StackedModel.from_specs.__func__
+
+    def from_specs(cls, specs):
+        if any(spec.system.icn2.bandwidth == bandwidth for spec in specs):
+            raise RuntimeError(f"engine failure at ICN2 bandwidth {bandwidth}")
+        return build(cls, specs)
+
+    monkeypatch.setattr(StackedModel, "from_specs", classmethod(from_specs))
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +225,51 @@ class TestPerformabilityPartial:
         assert ranked.isdisjoint(failed_labels)
         assert all(math.isfinite(r["impact"]) for r in result.data["ranking"])
         assert "PARTIAL" in result.text
+
+
+class TestEngineFailures:
+    """A genuine engine exception costs exactly its own cell or state."""
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_explore_fails_only_the_failing_cell(self, monkeypatch, jobs):
+        grid = DesignGrid(
+            base=get_scenario("544"),
+            axes=(AxisSpec("system.icn2.bandwidth", (500.0, 550.0, 600.0, 650.0)),),
+        )
+        clean = explore_grid(grid)
+        _fail_stacks_with(monkeypatch, 550.0)
+        result = explore_grid(grid, jobs=jobs)
+        (error,) = result.data["errors"]
+        assert error["cell"] == clean.data["cells"][1]["name"]
+        assert error["attempts"] == RunPolicy().max_retries + 1
+        assert "engine failure" in error["error"]
+        assert math.isnan(result.data["cells"][1]["metrics"]["saturation_load"])
+        for k in (0, 2, 3):
+            assert canonical(result.data["cells"][k]) == canonical(clean.data["cells"][k])
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_performability_fails_only_the_failing_state(self, monkeypatch, jobs):
+        scenario = FailureScenario(
+            modes=(
+                FailureMode(kind="node", failure_rate=1e-4, repair_rate=1e-2),
+                FailureMode(kind="switch", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+                FailureMode(kind="link", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+            ),
+            max_concurrent=1,
+            name="engine-failure",
+        )
+        clean = performability_analysis(get_scenario("544"), scenario)
+        # Losing one of four ICN2 switches leaves 375 of 500 bandwidth.
+        _fail_stacks_with(monkeypatch, 375.0)
+        result = performability_analysis(get_scenario("544"), scenario, jobs=jobs)
+        (error,) = result.data["errors"]
+        assert error["state"] == "icn2-switch=1"
+        assert "engine failure" in error["error"]
+        for clean_state, state in zip(clean.data["states"], result.data["states"]):
+            if state["label"] == "icn2-switch=1":
+                assert math.isnan(state["metrics"]["saturation_load"])
+            else:
+                assert canonical(state) == canonical(clean_state)
 
 
 class TestCliResilience:

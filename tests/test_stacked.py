@@ -25,16 +25,27 @@ import pytest
 from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
-from repro.core.batch import BatchedModel
+from repro.core.batch import BatchedModel, refine_monotone_crossing
 from repro.core.parameters import ModelOptions
 from repro.core.stacked import StackedModel
 from repro.core.sweep import auto_load_grid
-from repro.experiments.explore import _model_knee
 from repro.performability import FailureMode, FailureScenario, expand_states
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
 
 REGISTRY = list(iter_scenarios())
+
+
+def _model_knee(engine: BatchedModel, lam_star: float, zero: float, factor: float) -> float:
+    """Load where the model's latency first reaches ``factor ×`` its floor."""
+    threshold = factor * zero
+
+    def beyond(grid: np.ndarray) -> np.ndarray:
+        latencies = engine.evaluate_many(grid, with_results=False).latencies
+        return ~(np.isfinite(latencies) & (latencies < threshold))
+
+    lo, _ = refine_monotone_crossing(0.0, lam_star * (1.0 - 1e-9), beyond, rel_tol=1e-6)
+    return lo
 
 
 def per_cell_engines(cells):

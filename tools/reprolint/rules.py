@@ -374,6 +374,10 @@ def _is_dataclass(node: ast.ClassDef, aliases: dict[str, str]) -> bool:
     return False
 
 
+#: Fan-out entry points whose first argument is pickled into pool workers.
+_FAN_OUTS = ("map_jobs", "run_supervised", "run_sharded")
+
+
 def _check_parallel_safety(
     tree: ast.Module, rel_path: str, aliases: dict[str, str], scopes: _Scopes
 ) -> list[Diagnostic]:
@@ -413,13 +417,14 @@ def _check_parallel_safety(
                         scopes.symbol(node),
                     )
                 )
-            if resolved.split(".")[-1] == "map_jobs" and node.args:
+            fan_out = resolved.split(".")[-1]
+            if fan_out in _FAN_OUTS and node.args:
                 fn = node.args[0]
                 if isinstance(fn, ast.Lambda):
                     diags.append(
                         Diagnostic(
                             "RP301", rel_path, fn.lineno, fn.col_offset,
-                            "lambda handed to map_jobs cannot be pickled into "
+                            f"lambda handed to {fan_out} cannot be pickled into "
                             "worker processes; use a module-level function",
                             scopes.symbol(node),
                         )
@@ -428,7 +433,7 @@ def _check_parallel_safety(
                     diags.append(
                         Diagnostic(
                             "RP301", rel_path, fn.lineno, fn.col_offset,
-                            f"nested function {fn.id!r} handed to map_jobs "
+                            f"nested function {fn.id!r} handed to {fan_out} "
                             "cannot be pickled; hoist it to module level",
                             scopes.symbol(node),
                         )
